@@ -374,10 +374,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
 
     rows = []
     results: dict[str, dict[int, RunResult]] = {}
+    kernels: dict[str, str] = {}
     for alg in spec.algorithms:
         gossip = build_gossip(alg, mixing)
         alpha = alg.resolve_alpha(problem.L)
         results[alg.name] = {}
+        # the primal-dual engine multiplies by its dense matrices itself
+        kernels[alg.name] = "dense" if alg.kind in _PUDA_KINDS else gossip.kernel
         for seed in spec.seeds:
             try:
                 if alg.kind in _PUDA_KINDS:
@@ -412,6 +415,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         "numpy_version": np.__version__,
         "wall_seconds": round(time.time() - started, 3),
         "rho": mixing.rho,
+        "gossip_kernels": kernels,
         "reference_residual": reference.residual,
         "reference_iterations": reference.iterations,
     }

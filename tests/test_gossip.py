@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gossipskip
 from gossipskip import (
     MultiGossipOperator,
     build_random_connectivity,
+    build_ring,
     chebyshev_eta,
     chebyshev_eta_printed,
     default_K,
     metropolis_weights,
     verify_prop1,
 )
+from gossipskip.gossip import _chebyshev, _NeighbourTable
 
 
 class TestChebyshevEta:
@@ -67,7 +74,7 @@ class TestMbar:
 
     def test_k1_eta0_reduces_to_w(self, ring15_mixing):
         op = MultiGossipOperator(mixing=ring15_mixing, K=1, eta=0.0)
-        assert np.allclose(op.mbar, ring15_mixing.w, atol=0)
+        assert np.array_equal(op.mbar, ring15_mixing.w)
 
     def test_invalid_params(self, ring15_mixing):
         with pytest.raises(ValueError):
@@ -199,3 +206,91 @@ class TestVerifyProp1:
         for label, op in gossip_matrix[:6]:
             rep = verify_prop1(op)
             assert isinstance(rep.radius, float), label
+
+
+def _dense_recursion(w, states, K, eta):
+    """Reference: ``s_K`` by the dense matrix expression, unrolled."""
+    s_prev = s_cur = states
+    for _ in range(K):
+        s_cur, s_prev = (1.0 + eta) * (w @ s_cur) - eta * s_prev, s_cur
+    return s_cur
+
+
+@pytest.fixture(scope="module")
+def large_gossip() -> dict[str, MultiGossipOperator]:
+    """Graphs around and above the gather crossover, at their default K."""
+    mixings = {f"ring{n}": metropolis_weights(build_ring(n)) for n in (200, 400, 800)}
+    # a random tree plus a few chords; its widest row has 13 nonzeros
+    mixings["rand1000"] = metropolis_weights(build_random_connectivity(1000, 0.002, seed=0))
+    return {label: MultiGossipOperator.from_mixing(mix) for label, mix in mixings.items()}
+
+
+LARGE = ("ring200", "ring400", "ring800", "rand1000")
+SHAPES = ((10,), (1,), ())
+
+
+class TestNeighbourKernel:
+    def test_kernel_chosen_from_sparsity(self, large_gossip, bench, gossip_matrix):
+        # ring-200 sits just below the crossover (n = 200 < 70 * 3)
+        assert {label: large_gossip[label].kernel for label in LARGE} == {
+            "ring200": "dense",
+            "ring400": "neighbour",
+            "ring800": "neighbour",
+            "rand1000": "neighbour",
+        }
+        assert bench.gossip.kernel == "dense"
+        assert all(op.kernel == "dense" for _, op in gossip_matrix)
+
+    @pytest.mark.parametrize("label", LARGE)
+    @pytest.mark.parametrize("trailing", SHAPES)
+    def test_matches_dense_kernel(self, large_gossip, label, trailing):
+        op = large_gossip[label]
+        rng = np.random.default_rng(7)
+        states = rng.standard_normal((op.n, *trailing))
+        before = states.copy()
+        dense = states - _dense_recursion(op.mixing.w, states, op.K, op.eta)
+        out = op.fast_goss(states)
+        assert out.shape == states.shape
+        assert np.abs(out - dense).max() <= 1e-13
+        # ring-200 picks the dense kernel; drive the gather explicitly too
+        gathered = states - _chebyshev(_NeighbourTable(op.mixing.w), states, op.K, op.eta)
+        assert gathered.shape == states.shape
+        assert np.abs(gathered - dense).max() <= 1e-13
+        assert np.array_equal(states, before)
+
+    @pytest.mark.parametrize("label", LARGE)
+    def test_matches_mbar(self, large_gossip, label):
+        op = large_gossip[label]
+        if op.n > 400:
+            # a dense Mbar costs K * width * n^2; the kernel depends on W alone
+            op = MultiGossipOperator(mixing=op.mixing, K=20, eta=op.eta)
+            assert op.kernel == "neighbour"
+        eye_minus = np.eye(op.n) - op.mbar
+        rng = np.random.default_rng(11)
+        for trailing in SHAPES:
+            states = rng.standard_normal((op.n, *trailing))
+            assert np.abs(op.fast_goss(states) - eye_minus @ states).max() <= 1e-10, trailing
+
+    @pytest.mark.parametrize("trailing", SHAPES)
+    def test_ring15_dense_kernel_bit_identical(self, bench, trailing):
+        op = bench.gossip
+        states = np.random.default_rng(3).standard_normal((op.n, *trailing))
+        expected = states - _dense_recursion(op.mixing.w, states, op.K, op.eta)
+        assert np.array_equal(op.fast_goss(states), expected)
+
+    def test_no_scipy_import(self):
+        # importing scipy.sparse alone adds about 18 MiB of peak resident memory
+        code = (
+            "import sys; import numpy as np; import gossipskip as gs\n"
+            "op = gs.MultiGossipOperator.from_mixing(gs.metropolis_weights(gs.build_ring(400)))\n"
+            "op.fast_goss(np.ones((400, 3)))\n"
+            "assert op.kernel == 'neighbour'\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(gossipskip.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,24 @@ class TestRunExperiment:
         assert len(trace) == 1 + 10  # header + exactly T rows
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "manifest.json").exists()
+
+    def test_manifest_records_gossip_kernels(self, tmp_path):
+        small = BASE_CONFIG + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
+        # ring-240 is above the gather crossover (240 >= 70 * 3 nonzeros per row)
+        large = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
+            "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
+        )
+        kernels = {}
+        for label, text in (("small", small), ("large", large)):
+            run_experiment(parse_config(text), tmp_path / label, config_text=text)
+            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+            kernels[label] = manifest["gossip_kernels"]
+        assert kernels == {
+            "small": {"mg_skip_p1": "dense", "mg_skip_p0.5": "dense", "puda_nids": "dense"},
+            "large": {"mg_skip_p1": "neighbour", "mg_skip_p0.5": "neighbour"},
+        }
+        rows = (tmp_path / "large" / "mg_skip_p1__seed0.csv").read_text().splitlines()
+        assert rows[0] == ",".join(TRACE_COLUMNS) and len(rows) == 1 + 10
 
     def test_early_stop_fewer_rows(self, tmp_path):
         text = BASE_CONFIG.replace("run.T = 10", "run.T = 5000").replace(
