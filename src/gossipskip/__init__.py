@@ -26,21 +26,18 @@ from .algorithms import (
     puda_mgskip_p1,
     puda_nids,
     puda_run,
-    puda_skip1,
     puda_step,
 )
 from .gossip import (
     MultiGossipOperator,
     Prop1Report,
     chebyshev_eta,
-    chebyshev_eta_printed,
     default_K,
     verify_prop1,
 )
 from .harness import (
     AlgorithmSpec,
     ExperimentSpec,
-    TraceRecord,
     aggregate_seeds,
     load_experiment,
     parse_config,

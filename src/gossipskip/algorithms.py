@@ -27,6 +27,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "PUDAConfig",
     "PUDAState",
     "puda_mgskip_p1",
-    "puda_skip1",
     "puda_nids",
     "puda_init",
     "puda_step",
@@ -151,7 +151,8 @@ class RunResult:
 
     Row ``k`` describes the state after iteration ``t = ts[k]``
     (0-based step index) driven by coin ``thetas[k]``.  ``psi`` is NaN
-    when diagnostics were off.
+    when diagnostics were off.  ``state`` is the last iterate state of
+    the run's own algorithm (:class:`MGSkipState` or :class:`PUDAState`).
     """
 
     ts: np.ndarray
@@ -163,7 +164,7 @@ class RunResult:
     rel_err0: float
     psi0: float
     stopped: bool
-    state: MGSkipState
+    state: MGSkipState | PUDAState
 
     @property
     def iterations(self) -> int:
@@ -176,16 +177,65 @@ def _as_xstar(xstar) -> np.ndarray:
     return np.asarray(xstar, dtype=float)
 
 
+def _run(advance, state, thetas, x_star_stack, tol, comm_budget, psi=None) -> RunResult:
+    """The trace loop shared by every run driver; iterates start at ``X = 0``.
+
+    ``state = advance(state, t, theta)`` performs iteration ``t`` with coin
+    ``theta`` for each entry of ``thetas``.  Stops after the first row with
+    ``rel_err < tol`` (if ``tol`` is positive), after the last coin, or as
+    soon as ``comm_rounds >= comm_budget`` when a budget is given.  ``psi``,
+    when given, maps a state to its Lyapunov value.  A
+    :class:`DivergenceError` from ``advance`` is re-raised carrying the rows
+    recorded before it.
+    """
+    norm_star = float(np.linalg.norm(x_star_stack))
+    rel_err0 = 1.0  # the error of X = 0 is ||X*|| itself
+    psi0 = psi(state) if psi else float("nan")
+    # a list append costs a fraction of a per-row array write; result() converts once
+    comms, grads, rels, psis = [], [], [], []
+
+    def result(stopped: bool) -> RunResult:
+        k = len(rels)
+        return RunResult(
+            ts=np.arange(k),
+            thetas=np.array(thetas[:k], dtype=int),
+            comm_rounds=np.array(comms, dtype=int),
+            grad_evals=np.array(grads, dtype=int),
+            rel_err=np.array(rels, dtype=float),
+            psi=np.array(psis, dtype=float) if psi else np.full(k, np.nan),
+            rel_err0=rel_err0,
+            psi0=psi0,
+            stopped=stopped,
+            state=state,
+        )
+
+    for t, theta in enumerate(thetas):
+        try:
+            state = advance(state, t, theta)
+        except DivergenceError as err:
+            raise DivergenceError(str(err), result(False)) from None
+        rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
+        comms.append(state.comm_rounds)
+        grads.append(state.grad_evals)
+        rels.append(rel)
+        if psi:
+            psis.append(psi(state))
+        if tol > 0.0 and rel < tol:
+            return result(True)
+        if comm_budget is not None and state.comm_rounds >= comm_budget:
+            break
+    return result(False)
+
+
 def mg_skip_run(
     problem: ProblemInstance,
     gossip: MultiGossipOperator,
     cfg: RunConfig,
     xstar,
     diagnostics: bool = False,
-    x0: np.ndarray | None = None,
     comm_budget: int | None = None,
 ) -> RunResult:
-    """Run from ``X0`` (zeros by default) with ``Y0 = 0``.
+    """Run from ``X = 0`` and ``Y = 0``.
 
     Stops at ``rel_err < cfg.tol`` (if positive), at ``cfg.T``
     iterations, or as soon as ``comm_rounds >= comm_budget`` when a
@@ -199,57 +249,19 @@ def mg_skip_run(
         raise ValueError("gossip operator and problem disagree on node count")
     xs = _as_xstar(xstar)
     x_star_stack = np.tile(xs, (n, 1))
-    norm_star = float(np.linalg.norm(x_star_stack))
-    x = np.zeros((n, d)) if x0 is None else np.array(x0, dtype=float)
-    state = MGSkipState(x=x, y=np.zeros((n, d)))
-    ystar = dual_fixed_point(problem, xs) if diagnostics else None
-    coins = coin_stream(cfg.seed, cfg.T)
-
-    rel_err0 = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
-    psi0 = lyapunov(state, x_star_stack, ystar, gossip, cfg) if diagnostics else float("nan")
-
-    ts, thetas, comms, grads, rels, psis = [], [], [], [], [], []
-    stopped = False
-    for t in range(cfg.T):
-        theta = int(coins[t] < cfg.p)
-        try:
-            state = mg_skip_step(state, problem, gossip, cfg, theta)
-        except DivergenceError as err:
-            raise DivergenceError(
-                str(err),
-                _pack_result(ts, thetas, comms, grads, rels, psis, rel_err0, psi0, False, state),
-            ) from None
-        rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
-        ts.append(t)
-        thetas.append(theta)
-        comms.append(state.comm_rounds)
-        grads.append(state.grad_evals)
-        rels.append(rel)
-        psis.append(
-            lyapunov(state, x_star_stack, ystar, gossip, cfg)
-            if diagnostics
-            else float("nan")
-        )
-        if cfg.tol > 0.0 and rel < cfg.tol:
-            stopped = True
-            break
-        if comm_budget is not None and state.comm_rounds >= comm_budget:
-            break
-    return _pack_result(ts, thetas, comms, grads, rels, psis, rel_err0, psi0, stopped, state)
-
-
-def _pack_result(ts, thetas, comms, grads, rels, psis, rel_err0, psi0, stopped, state):
-    return RunResult(
-        ts=np.array(ts, dtype=int),
-        thetas=np.array(thetas, dtype=int),
-        comm_rounds=np.array(comms, dtype=int),
-        grad_evals=np.array(grads, dtype=int),
-        rel_err=np.array(rels, dtype=float),
-        psi=np.array(psis, dtype=float),
-        rel_err0=rel_err0,
-        psi0=psi0,
-        stopped=stopped,
-        state=state,
+    psi = None
+    if diagnostics:
+        ystar = dual_fixed_point(problem, xs)
+        psi = partial(lyapunov, xstar_stack=x_star_stack, ystar=ystar, gossip=gossip, cfg=cfg)
+    thetas = (coin_stream(cfg.seed, cfg.T) < cfg.p).astype(int).tolist()
+    return _run(
+        lambda state, t, theta: mg_skip_step(state, problem, gossip, cfg, theta),
+        MGSkipState(x=np.zeros((n, d)), y=np.zeros((n, d))),
+        thetas,
+        x_star_stack,
+        cfg.tol,
+        comm_budget,
+        psi,
     )
 
 
@@ -431,18 +443,6 @@ def puda_mgskip_p1(gossip: MultiGossipOperator) -> PUDAConfig:
     )
 
 
-def puda_skip1(mixing: MixingMatrix) -> PUDAConfig:
-    """Single-gossip variant: ``A = B = (I + W)/2, C = I``."""
-    half = 0.5 * (np.eye(mixing.n) + mixing.w)
-    return PUDAConfig(
-        name="skip1",
-        a_mat=half,
-        b_mat=half,
-        c_mat=np.eye(mixing.n),
-        comm_rounds_per_iter=1,
-    )
-
-
 def puda_nids(mixing: MixingMatrix) -> PUDAConfig:
     """``A = B = C = (I + W)/2``."""
     half = 0.5 * (np.eye(mixing.n) + mixing.w)
@@ -466,15 +466,9 @@ class PUDAState:
     grad_evals: int
 
 
-def puda_init(
-    problem: ProblemInstance,
-    cfg: PUDAConfig,
-    alpha: float,
-    x0: np.ndarray | None = None,
-) -> PUDAState:
-    """First iteration from a zero dual: ``z0 = x0 - alpha*grad F(x0)``."""
-    n, d = problem.n, problem.dim
-    x = np.zeros((n, d)) if x0 is None else np.array(x0, dtype=float)
+def puda_init(problem: ProblemInstance, cfg: PUDAConfig, alpha: float) -> PUDAState:
+    """First iteration from ``X = 0`` and a zero dual: ``z0 = X - alpha*grad F(X)``."""
+    x = np.zeros((problem.n, problem.dim))
     g = problem.gradient_stack(x)
     z = x - alpha * g
     x1 = problem.prox_stack(alpha, cfg.a_mat @ z)
@@ -523,50 +517,17 @@ def puda_run(
     T: int,
     xstar,
     tol: float = 0.0,
-    x0: np.ndarray | None = None,
     comm_budget: int | None = None,
 ) -> RunResult:
-    """Deterministic engine run with the same trace layout as the skipper."""
-    xs = _as_xstar(xstar)
-    x_star_stack = np.tile(xs, (problem.n, 1))
-    norm_star = float(np.linalg.norm(x_star_stack))
-    rel_err0 = float(
-        np.linalg.norm((np.zeros_like(x_star_stack) if x0 is None else x0) - x_star_stack)
-    ) / norm_star
+    """Deterministic engine run with the same trace layout as the skipper.
 
-    ts, thetas, comms, grads, rels = [], [], [], [], []
-    stopped = False
-    state = puda_init(problem, cfg, alpha, x0=x0)
-    for t in range(T):
-        if t > 0:
-            state = puda_step(state, problem, cfg, alpha)
-        rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
-        ts.append(t)
-        thetas.append(1)
-        comms.append(state.comm_rounds)
-        grads.append(state.grad_evals)
-        rels.append(rel)
-        if tol > 0.0 and rel < tol:
-            stopped = True
-            break
-        if comm_budget is not None and state.comm_rounds >= comm_budget:
-            break
-    final = MGSkipState(
-        x=state.x,
-        y=np.zeros_like(state.x),
-        t=state.t,
-        comm_rounds=state.comm_rounds,
-        grad_evals=state.grad_evals,
-    )
-    return _pack_result(
-        ts,
-        thetas,
-        comms,
-        grads,
-        rels,
-        [float("nan")] * len(ts),
-        rel_err0,
-        float("nan"),
-        stopped,
-        final,
-    )
+    Every iteration communicates, so every ``theta`` is 1; ``psi`` is NaN.
+    """
+
+    def advance(state, t, theta):
+        if t == 0:
+            return puda_init(problem, cfg, alpha)
+        return puda_step(state, problem, cfg, alpha)
+
+    x_star_stack = np.tile(_as_xstar(xstar), (problem.n, 1))
+    return _run(advance, None, [1] * T, x_star_stack, tol, comm_budget)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .algorithms import (
     mg_skip_step,
 )
 from .gossip import MultiGossipOperator, chebyshev_eta, default_K, verify_prop1
-from .harness import build_graph, build_problem, load_experiment, run_experiment
+from .harness import ExperimentSpec, build_graph, build_problem, parse_config, run_experiment
 from .problems import centralized_solve
 from .topology import build_random_connectivity, build_ring, metropolis_weights
 
@@ -42,33 +43,30 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = Path(args.config)
-    if not config.exists():
-        print(f"config file not found: {config}", file=sys.stderr)
-        return 2
-    spec = load_experiment(config)
-    summary = run_experiment(spec, args.out, config_text=config.read_text())
-    print(f"baseline: {summary['baseline']}")
+def _print_means(summary: dict, final_err: bool) -> None:
+    """One line per algorithm: mean iterations and communication to tolerance."""
     for name in sorted(summary["mean"]):
         m = summary["mean"][name]
         iters = m["iterations_to_tol"]
         comm = m["comm_to_tol"]
-        print(
+        line = (
             f"{name}: iters_to_tol={iters if iters is not None else '-'} "
-            f"comm_to_tol={comm if comm is not None else '-'} "
-            f"final_rel_err={m['final_rel_err']:.3e}"
+            f"comm_to_tol={comm if comm is not None else '-'}"
         )
+        if final_err:
+            line += f" final_rel_err={m['final_rel_err']:.3e}"
+        print(line)
+
+
+def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
+    summary = run_experiment(spec, args.out, config_text=config_text)
+    print(f"baseline: {summary['baseline']}")
+    _print_means(summary, final_err=True)
     print(f"wrote traces to {args.out}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = Path(args.config)
-    if not config.exists():
-        print(f"config file not found: {config}", file=sys.stderr)
-        return 2
-    spec = load_experiment(config)
+def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
     graph = build_graph(spec)
     mixing = metropolis_weights(graph)
     problem = build_problem(spec, mixing)
@@ -151,41 +149,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = Path(args.config)
-    if not config.exists():
-        print(f"config file not found: {config}", file=sys.stderr)
-        return 2
-    base_text = config.read_text()
-    spec = load_experiment(config)
+def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
     p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
     if not p_values:
         print("empty p grid", file=sys.stderr)
         return 2
-    from dataclasses import replace
-
+    # an empty name relabels each variant; rows whose label ignores p collapse
     expanded = []
     seen = set()
     for alg in spec.algorithms:
-        variants = (
-            [alg]
-            if alg.kind.startswith("puda_")
-            else [replace(alg, p=p, name=f"{alg.kind}_p{p:g}") for p in p_values]
-        )
-        for variant in variants:
+        for variant in (replace(alg, p=p, name="") for p in p_values):
             if variant.name not in seen:
                 seen.add(variant.name)
                 expanded.append(variant)
     sweep_spec = replace(spec, algorithms=tuple(expanded), baseline="")
-    summary = run_experiment(sweep_spec, args.out, config_text=base_text)
-    for name in sorted(summary["mean"]):
-        m = summary["mean"][name]
-        iters = m["iterations_to_tol"]
-        comm = m["comm_to_tol"]
-        print(
-            f"{name}: iters_to_tol={iters if iters is not None else '-'} "
-            f"comm_to_tol={comm if comm is not None else '-'}"
-        )
+    summary = run_experiment(sweep_spec, args.out, config_text=config_text)
+    _print_means(summary, final_err=False)
     return 0
 
 
@@ -216,13 +195,16 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--p", required=True, help="comma-separated p values")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
     if args.command == "topology":
         return _cmd_topology(args)
-    return _cmd_sweep(args)
+    config = Path(args.config)
+    if not config.exists():
+        print(f"config file not found: {config}", file=sys.stderr)
+        return 2
+    config_text = config.read_text()
+    spec = parse_config(config_text, base_dir=config.parent)
+    command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
+    return command(args, spec, config_text)
 
 
 if __name__ == "__main__":

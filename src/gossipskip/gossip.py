@@ -33,7 +33,6 @@ from .topology import MixingMatrix
 
 __all__ = [
     "chebyshev_eta",
-    "chebyshev_eta_printed",
     "default_K",
     "MultiGossipOperator",
     "Prop1Report",
@@ -69,17 +68,6 @@ def chebyshev_eta(rho: float) -> float:
     return (1.0 - c) / (1.0 + c)
 
 
-def chebyshev_eta_printed(rho: float) -> float:
-    """Variant with a ``sqrt(1+rho^2)`` denominator.
-
-    Kept behind this switch for comparison; it under-damps slightly and
-    is never the default.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"spectral gap must be in [0, 1), got {rho}")
-    return (1.0 - math.sqrt(1.0 - rho * rho)) / (1.0 + math.sqrt(1.0 + rho * rho))
-
-
 def default_K(rho: float) -> int:
     """Round count ``max(1, floor(1/sqrt(1-rho)))``."""
     if not 0.0 <= rho < 1.0:
@@ -113,23 +101,13 @@ class MultiGossipOperator:
         mixing: MixingMatrix,
         K: int | None = None,
         eta: float | None = None,
-        eta_variant: str = "standard",
     ) -> MultiGossipOperator:
-        """Build with defaults ``K = default_K(rho)`` and Chebyshev ``eta``.
-
-        ``eta_variant`` selects ``"standard"`` or ``"printed"`` when
-        ``eta`` is not given explicitly.
-        """
+        """Build with defaults ``K = default_K(rho)`` and ``eta = chebyshev_eta(rho)``."""
         rho = mixing.rho
         if K is None:
             K = default_K(rho)
         if eta is None:
-            if eta_variant == "standard":
-                eta = chebyshev_eta(rho)
-            elif eta_variant == "printed":
-                eta = chebyshev_eta_printed(rho)
-            else:
-                raise ValueError(f"unknown eta variant {eta_variant!r}")
+            eta = chebyshev_eta(rho)
         return cls(mixing=mixing, K=K, eta=eta)
 
     @property

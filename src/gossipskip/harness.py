@@ -38,15 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import (
-    RunConfig,
-    RunResult,
-    mg_skip_run,
-    puda_mgskip_p1,
-    puda_nids,
-    puda_run,
-    puda_skip1,
-)
+from .algorithms import RunConfig, RunResult, mg_skip_run, puda_nids, puda_run
 from .gossip import MultiGossipOperator, default_K
 from .problems import (
     L1Reg,
@@ -62,7 +54,6 @@ from .topology import Graph, MixingMatrix, build_random_connectivity, build_ring
 __all__ = [
     "AlgorithmSpec",
     "ExperimentSpec",
-    "TraceRecord",
     "parse_config",
     "load_experiment",
     "build_graph",
@@ -85,8 +76,21 @@ TRACE_COLUMNS = (
     "psi",
 )
 
-_PUDA_KINDS = ("puda_mgskip_p1", "puda_skip1", "puda_nids")
-_ALG_KINDS = ("mg_skip", "skip1") + _PUDA_KINDS
+# the one deterministic primal-dual engine baseline; every other kind skips
+_ENGINE_KIND = "puda_nids"
+_ALG_KINDS = ("mg_skip", "skip1", _ENGINE_KIND)
+
+# every key parse_config reads; "alg.<i>." prefixes the per-algorithm keys
+_CONFIG_KEYS = {
+    "graph": {"kind", "n", "iota", "seed"},
+    "problem": {
+        "kind", "d", "mu", "lsmooth", "kappa", "kappa_rule", "kappa_coeff",
+        "gamma1", "gamma2", "samples_per_node", "seed", "path",
+    },
+    "run": {"T", "tol", "seeds", "diagnostics"},
+    "summary": {"baseline"},
+}
+_ALG_KEYS = {"kind", "alpha", "p", "K", "name"}
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,6 @@ class AlgorithmSpec:
     alpha_rule: str = "one_over_5L"
     p: float = 1.0
     k_rule: str = "default"
-    eta_variant: str = "standard"
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -106,7 +109,7 @@ class AlgorithmSpec:
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if not self.name:
-            label = self.kind if self.kind in _PUDA_KINDS else f"{self.kind}_p{self.p:g}"
+            label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"
             object.__setattr__(self, "name", label)
 
     def resolve_alpha(self, lsmooth: float) -> float:
@@ -171,6 +174,7 @@ def _coerce(value: str):
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     """Parse flat dotted ``key = value`` text into an experiment spec."""
     table: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,6 +187,11 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         if key in table:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         table[key] = value
+        linenos[key] = lineno
+    # after the whole text, so a duplicate key is reported before an unknown one
+    for key, lineno in linenos.items():
+        if not _known_key(key):
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
 
     def section(prefix: str) -> dict:
         out = {}
@@ -216,7 +225,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
                 alpha_rule=str(entry.get("alpha", "one_over_5L")),
                 p=float(entry.get("p", 1.0)),
                 k_rule=str(entry.get("K", "default")),
-                eta_variant=str(entry.get("eta_variant", "standard")),
                 name=str(entry.get("name", "")),
             )
         )
@@ -237,6 +245,14 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         diagnostics=bool(run.get("diagnostics", False)),
         baseline=str(summary.get("baseline", "")),
     )
+
+
+def _known_key(key: str) -> bool:
+    section, _, field = key.partition(".")
+    if section == "alg":
+        aid, _, field = field.partition(".")
+        return aid.isdigit() and field in _ALG_KEYS
+    return field in _CONFIG_KEYS.get(section, ())
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -298,62 +314,30 @@ def build_gossip(
     if alg.kind == "skip1":
         # plain single-gossip baseline: Mbar = W exactly
         return MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
-    return MultiGossipOperator.from_mixing(
-        mixing, K=alg.resolve_K(mixing.rho), eta_variant=alg.eta_variant
+    return MultiGossipOperator.from_mixing(mixing, K=alg.resolve_K(mixing.rho))
+
+
+def write_trace_csv(path: Path, name: str, seed: int, result: RunResult) -> None:
+    """One row per iteration in ``TRACE_COLUMNS`` order.
+
+    Floats are written as ``repr`` (exact round trip); ``psi`` is empty
+    where it is NaN.
+    """
+    k = result.iterations
+    rows = zip(
+        [name] * k,
+        [seed] * k,
+        result.ts.tolist(),
+        result.thetas.tolist(),
+        result.comm_rounds.tolist(),
+        result.grad_evals.tolist(),
+        map(repr, result.rel_err.tolist()),
+        ["" if math.isnan(v) else repr(v) for v in result.psi.tolist()],
     )
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One CSV row of a run trace."""
-
-    algorithm: str
-    seed: int
-    t: int
-    theta: int
-    comm_rounds: int
-    grad_evals: int
-    rel_err: float
-    psi: float = float("nan")
-
-
-def _records(name: str, seed: int, result: RunResult) -> list[TraceRecord]:
-    return [
-        TraceRecord(
-            algorithm=name,
-            seed=seed,
-            t=int(result.ts[k]),
-            theta=int(result.thetas[k]),
-            comm_rounds=int(result.comm_rounds[k]),
-            grad_evals=int(result.grad_evals[k]),
-            rel_err=float(result.rel_err[k]),
-            psi=float(result.psi[k]),
-        )
-        for k in range(result.iterations)
-    ]
-
-
-def _fmt(value: float) -> str:
-    return "" if math.isnan(value) else repr(float(value))
-
-
-def write_trace_csv(path: Path, records: list[TraceRecord]) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.seed,
-                    r.t,
-                    r.theta,
-                    r.comm_rounds,
-                    r.grad_evals,
-                    repr(float(r.rel_err)),
-                    _fmt(r.psi),
-                ]
-            )
+        writer.writerows(rows)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str = "") -> dict:
@@ -373,18 +357,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     reference = centralized_solve(problem, tol=1e-13)
 
     rows = []
-    results: dict[str, dict[int, RunResult]] = {}
     kernels: dict[str, str] = {}
     for alg in spec.algorithms:
         gossip = build_gossip(alg, mixing)
         alpha = alg.resolve_alpha(problem.L)
-        results[alg.name] = {}
         # the primal-dual engine multiplies by its dense matrices itself
-        kernels[alg.name] = "dense" if alg.kind in _PUDA_KINDS else gossip.kernel
+        kernels[alg.name] = "dense" if alg.kind == _ENGINE_KIND else gossip.kernel
         for seed in spec.seeds:
             try:
-                if alg.kind in _PUDA_KINDS:
-                    cfg = _puda_config(alg, gossip, mixing)
+                if alg.kind == _ENGINE_KIND:
+                    cfg = puda_nids(mixing)
                     result = puda_run(
                         problem, cfg, alpha, spec.T, reference, tol=spec.tol
                     )
@@ -400,10 +382,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
             except Exception as err:
                 # traces already on disk stay there; attach the run identity
                 raise RuntimeError(f"run {alg.name}/seed{seed} failed: {err}") from err
-            results[alg.name][seed] = result
-            write_trace_csv(
-                out / f"{alg.name}__seed{seed}.csv", _records(alg.name, seed, result)
-            )
+            write_trace_csv(out / f"{alg.name}__seed{seed}.csv", alg.name, seed, result)
             rows.append(_summary_row(alg.name, seed, result, payload))
 
     summary = _summarize(rows, spec)
@@ -421,14 +400,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _puda_config(alg: AlgorithmSpec, gossip: MultiGossipOperator, mixing: MixingMatrix):
-    if alg.kind == "puda_mgskip_p1":
-        return puda_mgskip_p1(gossip)
-    if alg.kind == "puda_skip1":
-        return puda_skip1(mixing)
-    return puda_nids(mixing)
 
 
 def _summary_row(name: str, seed: int, result: RunResult, payload: int) -> dict:

@@ -33,7 +33,6 @@ from gossipskip import (
     puda_mgskip_p1,
     puda_nids,
     puda_run,
-    puda_skip1,
     puda_step,
 )
 
@@ -326,7 +325,7 @@ class TestContraction:
 class TestPUDA:
     def test_preset_conditions_pass(self, bench):
         puda_mgskip_p1(bench.gossip)
-        puda_skip1(bench.mixing)
+        puda_mgskip_p1(MultiGossipOperator(mixing=bench.mixing, K=1, eta=0.0))
         puda_nids(bench.mixing)
 
     def test_nids_preset_eigencheck(self, bench):
@@ -376,10 +375,23 @@ class TestPUDA:
         a = puda_run(
             bench.problem, puda_mgskip_p1(bench.gossip), alpha, 150, bench.reference
         )
-        b = puda_run(
-            bench.problem, puda_skip1(bench.mixing), alpha, 150, bench.reference
-        )
+        single = MultiGossipOperator(mixing=bench.mixing, K=1, eta=0.0)
+        b = puda_run(bench.problem, puda_mgskip_p1(single), alpha, 150, bench.reference)
         assert np.abs(a.rel_err - b.rel_err).max() > 1e-3
+
+    def test_divergence_carries_partial_trace(self):
+        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
+        reference = centralized_solve(problem, tol=1e-13)
+        cfg = puda_nids(metropolis_weights(build_ring(6)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError
+        ) as err:
+            puda_run(problem, cfg, 50.0, 2000, reference)
+        partial = err.value.result
+        # the rows just before divergence may already have overflowed to inf
+        assert partial is not None and partial.iterations > 0
+        assert np.array_equal(partial.ts, np.arange(partial.iterations))
+        assert (partial.thetas == 1).all()
 
     def test_engine_counters(self, bench):
         cfg = puda_mgskip_p1(bench.gossip)

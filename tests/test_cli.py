@@ -137,6 +137,25 @@ class TestSweep:
         csvs = sorted(f.name for f in out_dir.glob("mg_skip*seed0.csv"))
         assert csvs == ["mg_skip_p0.5__seed0.csv", "mg_skip_p1__seed0.csv"]
 
+    def test_sweep_runs_engine_kind_once(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG.replace("run.T = 400", "run.T = 10")
+            + "alg.1.kind = puda_nids\nalg.1.alpha = one_over_5L\n"
+        )
+        out_dir = tmp_path / "o"
+        code = main(
+            ["sweep", "--config", str(config), "--out", str(out_dir), "--p", "1,0.5"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "mg_skip_p0.5",
+            "mg_skip_p1",
+            "puda_nids",
+        ]
+        assert [f.name for f in out_dir.glob("puda_nids*.csv")] == ["puda_nids__seed0.csv"]
+
     def test_empty_grid(self, tmp_path):
         config = tmp_path / "exp.cfg"
         config.write_text(COMPLETE_GRAPH_CONFIG)

@@ -17,7 +17,6 @@ from gossipskip import (
     build_random_connectivity,
     build_ring,
     chebyshev_eta,
-    chebyshev_eta_printed,
     default_K,
     metropolis_weights,
     verify_prop1,
@@ -46,11 +45,6 @@ class TestChebyshevEta:
             chebyshev_eta(1.0)
         with pytest.raises(ValueError):
             chebyshev_eta(-0.1)
-
-    def test_printed_variant_is_smaller(self):
-        # the sqrt(1+rho^2) denominator under-damps
-        for rho in (0.3, 0.7, 0.9424):
-            assert chebyshev_eta_printed(rho) < chebyshev_eta(rho)
 
 
 class TestDefaultK:
@@ -171,16 +165,6 @@ class TestSqrtHalfGap:
 
 
 class TestVerifyProp1:
-    def test_printed_eta_contracts_worse_on_ring15(self, ring15_mixing):
-        from gossipskip import verify_prop1
-
-        std = verify_prop1(MultiGossipOperator.from_mixing(ring15_mixing))
-        printed = verify_prop1(
-            MultiGossipOperator.from_mixing(ring15_mixing, eta_variant="printed")
-        )
-        assert printed.radius > std.radius  # under-damped variant is worse
-        assert printed.sigma_min < std.sigma_min
-
     def test_complete_graph_all_pass(self):
         g = build_random_connectivity(5, 1.0, seed=0)
         op = MultiGossipOperator.from_mixing(metropolis_weights(g))

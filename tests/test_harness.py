@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from gossipskip import (
     parse_config,
     run_experiment,
 )
-from gossipskip.harness import TRACE_COLUMNS, build_gossip, build_graph, build_problem
+from gossipskip.harness import (
+    TRACE_COLUMNS,
+    build_gossip,
+    build_graph,
+    build_problem,
+    write_trace_csv,
+)
 
 BASE_CONFIG = """
 # ring benchmark, two skipping variants
@@ -59,6 +67,32 @@ class TestParseConfig:
     def test_duplicate_key(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_config("a.b = 1\na.b = 2\nalg.0.kind = mg_skip\nrun.seeds = 0")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "alg.0.k = fixed:2",
+            "run.seed = 3",
+            "problem.kapa = 50",
+            "alg.0.eta_variant = printed",
+        ],
+    )
+    def test_unknown_key(self, line):
+        text = BASE_CONFIG + line + "\n"
+        lineno = len(text.splitlines())
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"line {lineno}: unknown key '{key}'"):
+            parse_config(text)
+
+    def test_every_read_key_accepted(self):
+        extra = (
+            "problem.lsmooth = 4.0\nproblem.kappa = 3\nproblem.kappa_coeff = 0.5\n"
+            "problem.gamma1 = 0.1\nproblem.gamma2 = 0.0\nproblem.samples_per_node = 5\n"
+            "problem.path = unused.txt\ngraph.iota = 0.5\ngraph.seed = 2\n"
+            "alg.1.K = fixed:2\nalg.1.name = custom\n"
+        )
+        spec = parse_config(BASE_CONFIG + extra)
+        assert spec.algorithms[1].name == "custom" and spec.algorithms[1].k_rule == "fixed:2"
 
     def test_missing_libsvm_file(self):
         text = "problem.kind = libsvm\nproblem.path = nope.txt\nalg.0.kind = mg_skip\nrun.seeds = 0"
@@ -239,6 +273,36 @@ alg.0.p = 0.5
         psi = [r.split(",")[7] for r in rows]
         assert all(cell != "" for cell in psi)
         assert float(psi[0]) > float(psi[-1])
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_round_trip(self, tmp_path, bench, diagnostics):
+        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=40, tol=0.0, seed=3)
+        result = mg_skip_run(
+            bench.problem, bench.gossip, cfg, bench.reference, diagnostics=diagnostics
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, "mg_skip_p0.5", 3, result)
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert tuple(header) == TRACE_COLUMNS
+        assert len(rows) == result.iterations == 40
+        columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        assert columns["algorithm"] == ["mg_skip_p0.5"] * 40
+        assert columns["seed"] == ["3"] * 40
+        for name, values in (
+            ("t", result.ts),
+            ("theta", result.thetas),
+            ("comm_rounds", result.comm_rounds),
+            ("grad_evals", result.grad_evals),
+            ("rel_err", result.rel_err),
+        ):
+            assert all(float(cell) == value for cell, value in zip(columns[name], values))
+        for cell, value in zip(columns["psi"], result.psi):
+            assert (cell == "") == math.isnan(value)
+            assert cell == "" or float(cell) == value
+        assert all(cell != "" for cell in columns["psi"]) == diagnostics
 
 
 class TestBuilders:
