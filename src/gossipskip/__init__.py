@@ -22,7 +22,6 @@ from .algorithms import (
     lyapunov,
     mg_skip_run,
     mg_skip_step,
-    puda_init,
     puda_mgskip_p1,
     puda_nids,
     puda_run,

@@ -53,7 +53,6 @@ __all__ = [
     "PUDAState",
     "puda_mgskip_p1",
     "puda_nids",
-    "puda_init",
     "puda_step",
     "puda_run",
 ]
@@ -88,13 +87,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class MGSkipState:
-    """Stacked iterates and cumulative cost counters."""
+    """Stacked primal iterates ``X`` and scaled dual ``Y``."""
 
     x: np.ndarray
     y: np.ndarray
-    t: int = 0
-    comm_rounds: int = 0
-    grad_evals: int = 0
 
 
 class DivergenceError(RuntimeError):
@@ -129,46 +125,45 @@ def mg_skip_step(
         zbar = 0.5 * gossip.fast_goss(z)
         y = state.y + (cfg.p / alpha) * zbar
         x = problem.prox_stack(alpha, z - zbar)
-        comm = state.comm_rounds + gossip.K
     else:
         y = state.y
         x = problem.prox_stack(alpha, z)
-        comm = state.comm_rounds
     if not np.isfinite(x).all():
-        raise DivergenceError(f"non-finite iterate at t={state.t}")
-    return MGSkipState(
-        x=x,
-        y=y,
-        t=state.t + 1,
-        comm_rounds=comm,
-        grad_evals=state.grad_evals + 1,
-    )
+        raise DivergenceError("non-finite iterate")
+    return MGSkipState(x=x, y=y)
 
 
 @dataclass
 class RunResult:
     """Per-iteration trace of one run.
 
-    Row ``k`` describes the state after iteration ``t = ts[k]``
-    (0-based step index) driven by coin ``thetas[k]``.  ``psi`` is NaN
-    when diagnostics were off.  ``state`` is the last iterate state of
-    the run's own algorithm (:class:`MGSkipState` or :class:`PUDAState`).
+    Row ``k`` describes the state after iteration ``t = ts[k] = k``
+    (0-based step index) driven by coin ``thetas[k]``; every iteration
+    costs one gradient per node, so ``grad_evals[k] = k + 1``.  ``psi``
+    is NaN when diagnostics were off.  ``state`` is the last iterate
+    state of the run's own algorithm (:class:`MGSkipState` or
+    :class:`PUDAState`).
     """
 
-    ts: np.ndarray
     thetas: np.ndarray
     comm_rounds: np.ndarray
-    grad_evals: np.ndarray
     rel_err: np.ndarray
     psi: np.ndarray
-    rel_err0: float
     psi0: float
     stopped: bool
     state: MGSkipState | PUDAState
 
     @property
     def iterations(self) -> int:
-        return len(self.ts)
+        return len(self.rel_err)
+
+    @property
+    def ts(self) -> np.ndarray:
+        return np.arange(self.iterations)
+
+    @property
+    def grad_evals(self) -> np.ndarray:
+        return np.arange(1, self.iterations + 1)
 
 
 def _as_xstar(xstar) -> np.ndarray:
@@ -177,33 +172,31 @@ def _as_xstar(xstar) -> np.ndarray:
     return np.asarray(xstar, dtype=float)
 
 
-def _run(advance, state, thetas, x_star_stack, tol, comm_budget, psi=None) -> RunResult:
-    """The trace loop shared by every run driver; iterates start at ``X = 0``.
+def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget, psi=None) -> RunResult:
+    """The trace loop shared by every run driver; iterates start at zero.
 
-    ``state = advance(state, t, theta)`` performs iteration ``t`` with coin
-    ``theta`` for each entry of ``thetas``.  Stops after the first row with
+    ``state = step(state, theta)`` performs one iteration with coin
+    ``theta`` for each entry of ``thetas``; an iteration whose coin is 1
+    costs ``rounds`` gossip rounds.  Stops after the first row with
     ``rel_err < tol`` (if ``tol`` is positive), after the last coin, or as
     soon as ``comm_rounds >= comm_budget`` when a budget is given.  ``psi``,
     when given, maps a state to its Lyapunov value.  A
-    :class:`DivergenceError` from ``advance`` is re-raised carrying the rows
-    recorded before it.
+    :class:`DivergenceError` from ``step`` is re-raised naming the
+    iteration and carrying the rows recorded before it.
     """
     norm_star = float(np.linalg.norm(x_star_stack))
-    rel_err0 = 1.0  # the error of X = 0 is ||X*|| itself
     psi0 = psi(state) if psi else float("nan")
+    comm = 0
     # a list append costs a fraction of a per-row array write; result() converts once
-    comms, grads, rels, psis = [], [], [], []
+    comms, rels, psis = [], [], []
 
     def result(stopped: bool) -> RunResult:
         k = len(rels)
         return RunResult(
-            ts=np.arange(k),
             thetas=np.array(thetas[:k], dtype=int),
             comm_rounds=np.array(comms, dtype=int),
-            grad_evals=np.array(grads, dtype=int),
             rel_err=np.array(rels, dtype=float),
             psi=np.array(psis, dtype=float) if psi else np.full(k, np.nan),
-            rel_err0=rel_err0,
             psi0=psi0,
             stopped=stopped,
             state=state,
@@ -211,18 +204,18 @@ def _run(advance, state, thetas, x_star_stack, tol, comm_budget, psi=None) -> Ru
 
     for t, theta in enumerate(thetas):
         try:
-            state = advance(state, t, theta)
+            state = step(state, theta)
         except DivergenceError as err:
-            raise DivergenceError(str(err), result(False)) from None
+            raise DivergenceError(f"{err} at t={t}", result(False)) from None
+        comm += theta * rounds
         rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
-        comms.append(state.comm_rounds)
-        grads.append(state.grad_evals)
+        comms.append(comm)
         rels.append(rel)
         if psi:
             psis.append(psi(state))
         if tol > 0.0 and rel < tol:
             return result(True)
-        if comm_budget is not None and state.comm_rounds >= comm_budget:
+        if comm_budget is not None and comm >= comm_budget:
             break
     return result(False)
 
@@ -255,9 +248,10 @@ def mg_skip_run(
         psi = partial(lyapunov, xstar_stack=x_star_stack, ystar=ystar, gossip=gossip, cfg=cfg)
     thetas = (coin_stream(cfg.seed, cfg.T) < cfg.p).astype(int).tolist()
     return _run(
-        lambda state, t, theta: mg_skip_step(state, problem, gossip, cfg, theta),
+        lambda state, theta: mg_skip_step(state, problem, gossip, cfg, theta),
         MGSkipState(x=np.zeros((n, d)), y=np.zeros((n, d))),
         thetas,
+        gossip.K,
         x_star_stack,
         cfg.tol,
         comm_budget,
@@ -397,8 +391,7 @@ class PUDAConfig:
     convergence conditions by eigendecomposition: ``A^2 <= B <= I``
     with ``B`` strictly below 1 off the consensus direction, and
     ``0 <= C <= 2I``.  ``comm_rounds_per_iter`` declares how many
-    weight applications one iteration encodes; ``payload`` is the
-    number of vectors moved per round.
+    weight applications one iteration encodes.
     """
 
     name: str
@@ -406,7 +399,6 @@ class PUDAConfig:
     b_mat: np.ndarray
     c_mat: np.ndarray
     comm_rounds_per_iter: int
-    payload: int = 1
 
     def __post_init__(self) -> None:
         n = self.a_mat.shape[0]
@@ -457,30 +449,12 @@ def puda_nids(mixing: MixingMatrix) -> PUDAConfig:
 
 @dataclass(frozen=True)
 class PUDAState:
+    """Engine iterate, its predecessor, and the previous ``z`` and gradient."""
+
     x: np.ndarray
     x_prev: np.ndarray
     z_prev: np.ndarray
     grad_prev: np.ndarray
-    t: int
-    comm_rounds: int
-    grad_evals: int
-
-
-def puda_init(problem: ProblemInstance, cfg: PUDAConfig, alpha: float) -> PUDAState:
-    """First iteration from ``X = 0`` and a zero dual: ``z0 = X - alpha*grad F(X)``."""
-    x = np.zeros((problem.n, problem.dim))
-    g = problem.gradient_stack(x)
-    z = x - alpha * g
-    x1 = problem.prox_stack(alpha, cfg.a_mat @ z)
-    return PUDAState(
-        x=x1,
-        x_prev=x,
-        z_prev=z,
-        grad_prev=g,
-        t=1,
-        comm_rounds=cfg.comm_rounds_per_iter,
-        grad_evals=1,
-    )
 
 
 def puda_step(
@@ -498,16 +472,8 @@ def puda_step(
     )
     x_new = problem.prox_stack(alpha, cfg.a_mat @ z)
     if not np.isfinite(x_new).all():
-        raise DivergenceError(f"non-finite iterate at t={state.t}")
-    return PUDAState(
-        x=x_new,
-        x_prev=state.x,
-        z_prev=z,
-        grad_prev=g,
-        t=state.t + 1,
-        comm_rounds=state.comm_rounds + cfg.comm_rounds_per_iter,
-        grad_evals=state.grad_evals + 1,
-    )
+        raise DivergenceError("non-finite iterate")
+    return PUDAState(x=x_new, x_prev=state.x, z_prev=z, grad_prev=g)
 
 
 def puda_run(
@@ -521,13 +487,17 @@ def puda_run(
 ) -> RunResult:
     """Deterministic engine run with the same trace layout as the skipper.
 
-    Every iteration communicates, so every ``theta`` is 1; ``psi`` is NaN.
+    Starts from the all-zero state, whose first step gives
+    ``z0 = -alpha * grad F(0)``.  Every iteration communicates, so every
+    ``theta`` is 1; ``psi`` is NaN.
     """
-
-    def advance(state, t, theta):
-        if t == 0:
-            return puda_init(problem, cfg, alpha)
-        return puda_step(state, problem, cfg, alpha)
-
-    x_star_stack = np.tile(_as_xstar(xstar), (problem.n, 1))
-    return _run(advance, None, [1] * T, x_star_stack, tol, comm_budget)
+    zero = np.zeros((problem.n, problem.dim))
+    return _run(
+        lambda state, theta: puda_step(state, problem, cfg, alpha),
+        PUDAState(x=zero, x_prev=zero, z_prev=zero, grad_prev=zero),
+        [1] * T,
+        cfg.comm_rounds_per_iter,
+        np.tile(_as_xstar(xstar), (problem.n, 1)),
+        tol,
+        comm_budget,
+    )

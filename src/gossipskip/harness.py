@@ -91,6 +91,9 @@ _CONFIG_KEYS = {
     "summary": {"baseline"},
 }
 _ALG_KEYS = {"kind", "alpha", "p", "K", "name"}
+# per-algorithm keys a kind would silently ignore: skip1 always gossips once,
+# and the engine neither skips nor takes a round count
+_UNUSED_ALG_KEYS = {"skip1": {"K"}, _ENGINE_KIND: {"p", "K"}}
 
 
 @dataclass(frozen=True)
@@ -219,9 +222,16 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     algorithms = []
     for aid in alg_ids:
         entry = section(f"alg.{aid}")
+        kind = str(entry.get("kind", "mg_skip"))
+        for field in entry:
+            if field in _UNUSED_ALG_KEYS.get(kind, ()):
+                key = f"alg.{aid}.{field}"
+                raise ValueError(
+                    f"config line {linenos[key]}: key {key!r} does not apply to kind {kind!r}"
+                )
         algorithms.append(
             AlgorithmSpec(
-                kind=str(entry.get("kind", "mg_skip")),
+                kind=kind,
                 alpha_rule=str(entry.get("alpha", "one_over_5L")),
                 p=float(entry.get("p", 1.0)),
                 k_rule=str(entry.get("K", "default")),
@@ -366,11 +376,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         for seed in spec.seeds:
             try:
                 if alg.kind == _ENGINE_KIND:
-                    cfg = puda_nids(mixing)
                     result = puda_run(
-                        problem, cfg, alpha, spec.T, reference, tol=spec.tol
+                        problem, puda_nids(mixing), alpha, spec.T, reference, tol=spec.tol
                     )
-                    payload = cfg.payload
                 else:
                     cfg = RunConfig(
                         alpha=alpha, p=alg.p, T=spec.T, tol=spec.tol, seed=seed
@@ -378,12 +386,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
                     result = mg_skip_run(
                         problem, gossip, cfg, reference, diagnostics=spec.diagnostics
                     )
-                    payload = 1
             except Exception as err:
                 # traces already on disk stay there; attach the run identity
                 raise RuntimeError(f"run {alg.name}/seed{seed} failed: {err}") from err
             write_trace_csv(out / f"{alg.name}__seed{seed}.csv", alg.name, seed, result)
-            rows.append(_summary_row(alg.name, seed, result, payload))
+            rows.append(_summary_row(alg.name, seed, result))
 
     summary = _summarize(rows, spec)
     _write_summary_csv(out / "summary.csv", summary)
@@ -402,7 +409,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     return summary
 
 
-def _summary_row(name: str, seed: int, result: RunResult, payload: int) -> dict:
+def _summary_row(name: str, seed: int, result: RunResult) -> dict:
     reached = result.stopped
     iters = int(result.iterations) if reached else None
     comm = int(result.comm_rounds[-1]) if reached else None
@@ -412,7 +419,8 @@ def _summary_row(name: str, seed: int, result: RunResult, payload: int) -> dict:
         "iterations_to_tol": iters,
         "comm_to_tol": comm,
         "grad_evals_to_tol": int(result.grad_evals[-1]) if reached else None,
-        "vec_transmissions_to_tol": comm * payload if reached else None,
+        # a round sends each neighbour one d-vector, so this equals comm_to_tol
+        "vec_transmissions_to_tol": comm,
         "final_rel_err": float(result.rel_err[-1]),
     }
 

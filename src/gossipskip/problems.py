@@ -44,9 +44,8 @@ _PARTITION_STREAM = 0x9A7
 class QuadraticLoss:
     """``f(x) = 0.5 ||A x - b||^2`` with exact curvature bounds.
 
-    ``mu`` and ``lsmooth`` are the extreme eigenvalues of ``A^T A``;
-    callers may pass them when known exactly (pinned constructions),
-    otherwise they are computed.
+    ``mu`` and ``lsmooth`` are the extreme eigenvalues of ``A^T A``,
+    passed by the caller, who knows them exactly (pinned constructions).
     """
 
     a: np.ndarray
@@ -58,11 +57,6 @@ class QuadraticLoss:
         gram = self.a.T @ self.a
         object.__setattr__(self, "_gram", gram)
         object.__setattr__(self, "_atb", self.a.T @ self.b)
-
-    @classmethod
-    def from_data(cls, a: np.ndarray, b: np.ndarray) -> QuadraticLoss:
-        eigs = np.linalg.eigvalsh(a.T @ a)
-        return cls(a=a, b=b, mu=float(eigs[0]), lsmooth=float(eigs[-1]))
 
     @property
     def dim(self) -> int:
@@ -217,12 +211,8 @@ class ProblemInstance:
         return smooth + self.reg.value(x)
 
     def prox_stack(self, alpha: float, y_stack: np.ndarray) -> np.ndarray:
-        """Row-wise prox of the shared regularizer."""
-        if isinstance(self.reg, ZeroReg):
-            return y_stack
-        if isinstance(self.reg, L1Reg):
-            return l1_prox(alpha, self.reg.weight, y_stack)
-        return np.stack([self.reg.prox(alpha, row) for row in y_stack])
+        """Row-wise prox of the shared regularizer (each prox is separable)."""
+        return self.reg.prox(alpha, y_stack)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ from gossipskip import (
     metropolis_weights,
     mg_skip_run,
     mg_skip_step,
-    puda_init,
     puda_mgskip_p1,
     puda_nids,
     puda_run,
@@ -66,15 +67,21 @@ class TestStep:
         expected = x - cfg.alpha * bench.problem.gradient_stack(x) - cfg.alpha * y
         assert np.abs(nxt.x - expected).max() <= 1e-14
         assert np.array_equal(nxt.y, y)
-        assert nxt.comm_rounds == 0 and nxt.grad_evals == 1
+        # in a run, a skipped iteration costs one gradient and no rounds
+        res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
+        skipped = np.flatnonzero(res.thetas == 0)
+        assert skipped.size > 0
+        assert np.array_equal(res.comm_rounds[skipped], res.comm_rounds[skipped - 1])
+        assert np.array_equal(res.grad_evals[skipped], res.grad_evals[skipped - 1] + 1)
 
     def test_counters(self, bench):
-        cfg = RunConfig(alpha=bench.alpha, p=1.0, T=10)
-        state = MGSkipState(x=np.zeros((15, 10)), y=np.zeros((15, 10)))
-        one = mg_skip_step(state, bench.problem, bench.gossip, cfg, theta=1)
-        assert one.comm_rounds == bench.gossip.K and one.grad_evals == 1
-        two = mg_skip_step(one, bench.problem, bench.gossip, cfg, theta=0)
-        assert two.comm_rounds == bench.gossip.K and two.grad_evals == 2
+        # seed 1 draws theta = 1 then 0 at p = 0.5
+        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=2, seed=1)
+        res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
+        assert res.thetas.tolist() == [1, 0]
+        assert res.comm_rounds.tolist() == [bench.gossip.K, bench.gossip.K]
+        assert res.grad_evals.tolist() == [1, 2]
+        assert [f.name for f in fields(res.state)] == ["x", "y"]
 
     def test_fixed_point_is_stationary(self, bench):
         x_star_stack = np.tile(bench.reference.xstar, (15, 1))
@@ -103,16 +110,21 @@ class TestStep:
 
 
 class TestRun:
-    def test_trace_invariants(self, bench):
-        cfg = RunConfig(alpha=bench.alpha, p=0.4, T=300, tol=0.0, seed=2)
-        res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
+    @pytest.mark.parametrize("runner", ["mg_skip_run", "puda_run"])
+    def test_trace_invariants(self, bench, runner):
+        if runner == "mg_skip_run":
+            cfg = RunConfig(alpha=bench.alpha, p=0.4, T=300, tol=0.0, seed=2)
+            res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
+        else:
+            cfg = puda_mgskip_p1(bench.gossip)
+            res = puda_run(bench.problem, cfg, bench.alpha, 300, bench.reference)
         assert res.iterations == 300
-        assert (np.diff(res.comm_rounds) >= 0).all()
-        assert np.array_equal(res.grad_evals, np.arange(1, 301))
+        assert np.array_equal(res.ts, np.arange(300))
+        assert np.array_equal(res.grad_evals, res.ts + 1)
         # communication moves only on triggered iterations, K rounds each
-        deltas = np.diff(np.concatenate(([0], res.comm_rounds)))
-        assert set(deltas[res.thetas == 1]) == {bench.gossip.K}
-        assert set(deltas[res.thetas == 0]) <= {0}
+        assert np.array_equal(res.comm_rounds, bench.gossip.K * np.cumsum(res.thetas))
+        if runner == "puda_run":
+            assert (res.thetas == 1).all()
 
     def test_bit_identical_reruns(self, bench):
         cfg = RunConfig(alpha=bench.alpha, p=0.3, T=150, tol=0.0, seed=7)
@@ -173,8 +185,9 @@ class TestRun:
         res = mg_skip_run(
             bench.problem, bench.gossip, cfg, bench.reference, comm_budget=40
         )
-        assert res.state.comm_rounds >= 40
-        assert res.state.comm_rounds - bench.gossip.K < 40
+        assert res.comm_rounds[-1] >= 40
+        assert res.comm_rounds[-2] < 40
+        assert res.iterations == -(-40 // bench.gossip.K)
 
     def test_divergence_carries_partial_trace(self):
         class TimeBomb:
@@ -368,7 +381,8 @@ class TestPUDA:
         )
         assert np.abs(skipper.rel_err - engine.rel_err).max() <= 1e-12
         assert np.abs(skipper.state.x - engine.state.x).max() <= 1e-12
-        assert skipper.state.comm_rounds == engine.state.comm_rounds
+        assert np.array_equal(skipper.comm_rounds, engine.comm_rounds)
+        assert np.array_equal(skipper.grad_evals, engine.grad_evals)
 
     def test_skip1_preset_diverges_from_multi_round(self, bench):
         alpha = bench.alpha
@@ -395,10 +409,33 @@ class TestPUDA:
 
     def test_engine_counters(self, bench):
         cfg = puda_mgskip_p1(bench.gossip)
-        state = puda_init(bench.problem, cfg, bench.alpha)
-        assert state.comm_rounds == bench.gossip.K and state.grad_evals == 1
-        state = puda_step(state, bench.problem, cfg, bench.alpha)
-        assert state.comm_rounds == 2 * bench.gossip.K and state.grad_evals == 2
+        res = puda_run(bench.problem, cfg, bench.alpha, 2, bench.reference)
+        assert res.comm_rounds.tolist() == [bench.gossip.K, 2 * bench.gossip.K]
+        assert res.grad_evals.tolist() == [1, 2]
+        assert [f.name for f in fields(res.state)] == ["x", "x_prev", "z_prev", "grad_prev"]
+
+    def test_first_iterate_from_zero(self, bench):
+        """From zero, the first step is ``x1 = prox(A (-alpha grad F(0)))``."""
+        cfg = puda_nids(bench.mixing)
+        alpha = bench.alpha
+        res = puda_run(bench.problem, cfg, alpha, 1, bench.reference)
+        zero = np.zeros((15, 10))
+        g0 = bench.problem.gradient_stack(zero)
+        x1 = bench.problem.prox_stack(alpha, cfg.a_mat @ (zero - alpha * g0))
+        assert np.array_equal(res.state.x, x1)
+        assert np.array_equal(res.state.z_prev, zero - alpha * g0)
+
+    def test_divergence_at_first_iteration(self):
+        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
+        reference = centralized_solve(problem, tol=1e-13)
+        cfg = puda_nids(metropolis_weights(build_ring(6)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="t=0"
+        ) as err:
+            puda_run(problem, cfg, 1e308, 3, reference)
+        partial = err.value.result
+        assert partial.iterations == 0
+        assert np.isfinite(partial.state.x).all()
 
     def test_l1_instance_engine_equivalence(self):
         mixing = metropolis_weights(build_random_connectivity(10, 0.5, seed=4))

@@ -84,6 +84,26 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"line {lineno}: unknown key '{key}'"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("skip1", "alg.1.K = fixed:3"),
+            ("puda_nids", "alg.1.K = fixed:5"),
+            ("puda_nids", "alg.1.p = 0.2"),
+        ],
+    )
+    def test_key_unused_by_kind(self, kind, line):
+        text = BASE_CONFIG.replace(
+            "alg.1.kind = mg_skip\nalg.1.alpha = one_over_5L\nalg.1.p = 0.5\n",
+            f"alg.1.kind = {kind}\nalg.1.alpha = one_over_5L\n{line}\n",
+        )
+        lineno = text.splitlines().index(line) + 1
+        key = line.split(" = ")[0]
+        with pytest.raises(
+            ValueError, match=f"line {lineno}: key '{key}' does not apply to kind '{kind}'"
+        ):
+            parse_config(text)
+
     def test_every_read_key_accepted(self):
         extra = (
             "problem.lsmooth = 4.0\nproblem.kappa = 3\nproblem.kappa_coeff = 0.5\n"
