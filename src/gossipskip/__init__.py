@@ -37,8 +37,6 @@ from .gossip import (
 from .harness import (
     AlgorithmSpec,
     ExperimentSpec,
-    aggregate_seeds,
-    load_experiment,
     parse_config,
     run_experiment,
 )
@@ -65,7 +63,6 @@ from .topology import (
     build_ring,
     metropolis_weights,
     read_edge_list,
-    spectral_gap,
     write_edge_list,
     write_mixing_csv,
 )

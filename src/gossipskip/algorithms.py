@@ -172,7 +172,7 @@ def _as_xstar(xstar) -> np.ndarray:
     return np.asarray(xstar, dtype=float)
 
 
-def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget, psi=None) -> RunResult:
+def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=None) -> RunResult:
     """The trace loop shared by every run driver; iterates start at zero.
 
     ``state = step(state, theta)`` performs one iteration with coin
@@ -483,7 +483,6 @@ def puda_run(
     T: int,
     xstar,
     tol: float = 0.0,
-    comm_budget: int | None = None,
 ) -> RunResult:
     """Deterministic engine run with the same trace layout as the skipper.
 
@@ -499,5 +498,4 @@ def puda_run(
         cfg.comm_rounds_per_iter,
         np.tile(_as_xstar(xstar), (problem.n, 1)),
         tol,
-        comm_budget,
     )

@@ -96,19 +96,10 @@ class MultiGossipOperator:
             raise ValueError(f"eta must be in [0, 1), got {self.eta}")
 
     @classmethod
-    def from_mixing(
-        cls,
-        mixing: MixingMatrix,
-        K: int | None = None,
-        eta: float | None = None,
-    ) -> MultiGossipOperator:
-        """Build with defaults ``K = default_K(rho)`` and ``eta = chebyshev_eta(rho)``."""
+    def from_mixing(cls, mixing: MixingMatrix, K: int | None = None) -> MultiGossipOperator:
+        """Build with ``eta = chebyshev_eta(rho)`` and by default ``K = default_K(rho)``."""
         rho = mixing.rho
-        if K is None:
-            K = default_K(rho)
-        if eta is None:
-            eta = chebyshev_eta(rho)
-        return cls(mixing=mixing, K=K, eta=eta)
+        return cls(mixing=mixing, K=default_K(rho) if K is None else K, eta=chebyshev_eta(rho))
 
     @property
     def n(self) -> int:

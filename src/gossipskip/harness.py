@@ -55,13 +55,10 @@ __all__ = [
     "AlgorithmSpec",
     "ExperimentSpec",
     "parse_config",
-    "load_experiment",
     "build_graph",
     "build_problem",
     "build_gossip",
     "run_experiment",
-    "aggregate_seeds",
-    "AggregateResult",
     "TRACE_COLUMNS",
 ]
 
@@ -78,22 +75,29 @@ TRACE_COLUMNS = (
 
 # the one deterministic primal-dual engine baseline; every other kind skips
 _ENGINE_KIND = "puda_nids"
-_ALG_KINDS = ("mg_skip", "skip1", _ENGINE_KIND)
 
-# every key parse_config reads; "alg.<i>." prefixes the per-algorithm keys
-_CONFIG_KEYS = {
-    "graph": {"kind", "n", "iota", "seed"},
-    "problem": {
-        "kind", "d", "mu", "lsmooth", "kappa", "kappa_rule", "kappa_coeff",
-        "gamma1", "gamma2", "samples_per_node", "seed", "path",
+# the keys each kind reads, per config section; a section's first kind is
+# its default, and "alg.<i>." prefixes the per-algorithm keys
+_KIND_KEYS = {
+    "graph": {
+        "ring": {"kind", "n"},
+        "random": {"kind", "n", "iota", "seed"},
     },
-    "run": {"T", "tol", "seeds", "diagnostics"},
-    "summary": {"baseline"},
+    "problem": {
+        "least_squares": {"kind", "d", "mu", "lsmooth", "kappa", "kappa_rule", "gamma2", "seed"},
+        "logistic": {"kind", "d", "samples_per_node", "gamma1", "gamma2", "seed"},
+        "libsvm": {"kind", "path", "gamma1", "gamma2", "seed"},
+    },
+    "alg": {
+        "mg_skip": {"kind", "alpha", "p", "K", "name"},
+        # skip1 always gossips once; the engine neither skips nor takes a round count
+        "skip1": {"kind", "alpha", "p", "name"},
+        _ENGINE_KIND: {"kind", "alpha", "name"},
+    },
+    # sections without a kind: one key set, under the kind ""
+    "run": {"": {"T", "tol", "seeds", "diagnostics"}},
+    "summary": {"": {"baseline"}},
 }
-_ALG_KEYS = {"kind", "alpha", "p", "K", "name"}
-# per-algorithm keys a kind would silently ignore: skip1 always gossips once,
-# and the engine neither skips nor takes a round count
-_UNUSED_ALG_KEYS = {"skip1": {"K"}, _ENGINE_KIND: {"p", "K"}}
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class AlgorithmSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in _ALG_KINDS:
+        if self.kind not in _KIND_KEYS["alg"]:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
@@ -193,8 +197,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         linenos[key] = lineno
     # after the whole text, so a duplicate key is reported before an unknown one
     for key, lineno in linenos.items():
-        if not _known_key(key):
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        error = _key_error(key, table)
+        if error:
+            raise ValueError(f"config line {lineno}: {error}")
 
     def section(prefix: str) -> dict:
         out = {}
@@ -222,16 +227,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     algorithms = []
     for aid in alg_ids:
         entry = section(f"alg.{aid}")
-        kind = str(entry.get("kind", "mg_skip"))
-        for field in entry:
-            if field in _UNUSED_ALG_KEYS.get(kind, ()):
-                key = f"alg.{aid}.{field}"
-                raise ValueError(
-                    f"config line {linenos[key]}: key {key!r} does not apply to kind {kind!r}"
-                )
         algorithms.append(
             AlgorithmSpec(
-                kind=kind,
+                kind=str(entry.get("kind", "mg_skip")),
                 alpha_rule=str(entry.get("alpha", "one_over_5L")),
                 p=float(entry.get("p", 1.0)),
                 k_rule=str(entry.get("K", "default")),
@@ -257,17 +255,23 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     )
 
 
-def _known_key(key: str) -> bool:
+def _key_error(key: str, table: dict[str, str]) -> str | None:
+    """Why ``key`` is rejected, or None when its section and kind read it."""
     section, _, field = key.partition(".")
+    scope = section
     if section == "alg":
         aid, _, field = field.partition(".")
-        return aid.isdigit() and field in _ALG_KEYS
-    return field in _CONFIG_KEYS.get(section, ())
-
-
-def load_experiment(path: str | Path) -> ExperimentSpec:
-    path = Path(path)
-    return parse_config(path.read_text(), base_dir=path.parent)
+        if not aid.isdigit():
+            return f"unknown key {key!r}"
+        scope = f"alg.{aid}"
+    kinds = _KIND_KEYS.get(section, {})
+    if not any(field in keys for keys in kinds.values()):
+        return f"unknown key {key!r}"
+    kind = table.get(f"{scope}.kind", next(iter(kinds)))
+    # an unknown kind is reported where it is built
+    if kind in kinds and field not in kinds[kind]:
+        return f"key {key!r} does not apply to kind {kind!r}"
+    return None
 
 
 def build_graph(spec: ExperimentSpec) -> Graph:
@@ -289,11 +293,16 @@ def build_problem(spec: ExperimentSpec, mixing: MixingMatrix) -> ProblemInstance
     if kind == "least_squares":
         d = int(spec.problem.get("d", 10))
         mu = float(spec.problem.get("mu", 1.0))
+        curvature = [key for key in ("lsmooth", "kappa_rule", "kappa") if key in spec.problem]
+        if len(curvature) > 1:
+            raise ValueError(f"set only one of {', '.join('problem.' + k for k in curvature)}")
         if "lsmooth" in spec.problem:
             lsmooth = float(spec.problem["lsmooth"])
-        elif spec.problem.get("kappa_rule") == "half_over_gap":
-            coeff = float(spec.problem.get("kappa_coeff", 0.5))
-            lsmooth = mu * coeff / (1.0 - mixing.rho)
+        elif "kappa_rule" in spec.problem:
+            rule = spec.problem["kappa_rule"]
+            if rule != "half_over_gap":
+                raise ValueError(f"unknown kappa rule {rule!r}; expected 'half_over_gap'")
+            lsmooth = mu * 0.5 / (1.0 - mixing.rho)
         else:
             lsmooth = mu * float(spec.problem.get("kappa", 10.0))
         gamma2 = float(spec.problem.get("gamma2", 0.0))
@@ -373,18 +382,20 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         alpha = alg.resolve_alpha(problem.L)
         # the primal-dual engine multiplies by its dense matrices itself
         kernels[alg.name] = "dense" if alg.kind == _ENGINE_KIND else gossip.kernel
+        result = None
         for seed in spec.seeds:
             try:
-                if alg.kind == _ENGINE_KIND:
-                    result = puda_run(
-                        problem, puda_nids(mixing), alpha, spec.T, reference, tol=spec.tol
-                    )
-                else:
+                if alg.kind != _ENGINE_KIND:
                     cfg = RunConfig(
                         alpha=alpha, p=alg.p, T=spec.T, tol=spec.tol, seed=seed
                     )
                     result = mg_skip_run(
                         problem, gossip, cfg, reference, diagnostics=spec.diagnostics
+                    )
+                elif result is None:
+                    # the engine ignores the seed, so its one run is every seed's trace
+                    result = puda_run(
+                        problem, puda_nids(mixing), alpha, spec.T, reference, tol=spec.tol
                     )
             except Exception as err:
                 # traces already on disk stay there; attach the run identity
@@ -498,44 +509,3 @@ def _write_summary_csv(path: Path, summary: dict) -> None:
                     cell(m["comm_speedup_vs_baseline"]),
                 ]
             )
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Across-seed mean and normal-approximation 95% CI, per iteration."""
-
-    t: np.ndarray
-    rel_err_mean: np.ndarray
-    rel_err_ci: np.ndarray
-    psi_mean: np.ndarray
-    psi_ci: np.ndarray
-    n_seeds: int
-    ragged: bool
-
-
-def aggregate_seeds(traces: list[RunResult]) -> AggregateResult:
-    """Align per-seed traces on the shortest and average them."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    lengths = [tr.iterations for tr in traces]
-    L = min(lengths)
-    ragged = len(set(lengths)) > 1
-    rel = np.stack([tr.rel_err[:L] for tr in traces])
-    psi = np.stack([tr.psi[:L] for tr in traces])
-    m = len(traces)
-    z = 1.959963984540054  # 97.5% normal quantile
-    if m > 1:
-        rel_ci = z * rel.std(axis=0, ddof=1) / math.sqrt(m)
-        psi_ci = z * psi.std(axis=0, ddof=1) / math.sqrt(m)
-    else:
-        rel_ci = np.zeros(L)
-        psi_ci = np.zeros(L)
-    return AggregateResult(
-        t=np.arange(L),
-        rel_err_mean=rel.mean(axis=0),
-        rel_err_ci=rel_ci,
-        psi_mean=psi.mean(axis=0),
-        psi_ci=psi_ci,
-        n_seeds=m,
-        ragged=ragged,
-    )

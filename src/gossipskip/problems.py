@@ -120,9 +120,6 @@ class ZeroReg:
 
     weight = 0.0
 
-    def value(self, x: np.ndarray) -> float:
-        return 0.0
-
     def prox(self, alpha: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float)
 
@@ -132,9 +129,6 @@ class L1Reg:
     """``r(x) = weight * ||x||_1`` with soft-thresholding prox."""
 
     weight: float
-
-    def value(self, x: np.ndarray) -> float:
-        return self.weight * float(np.abs(x).sum())
 
     def prox(self, alpha: float, y: np.ndarray) -> np.ndarray:
         return l1_prox(alpha, self.weight, y)
@@ -204,11 +198,6 @@ class ProblemInstance:
         if self._grams is not None:
             return self._grams.mean(axis=0) @ x - self._atbs.mean(axis=0)
         return np.mean([f.gradient(x) for f in self.losses], axis=0)
-
-    def objective(self, x: np.ndarray) -> float:
-        """``h(x) = (1/n) sum_i f_i(x) + r(x)``."""
-        smooth = sum(f.value(x) for f in self.losses) / self.n
-        return smooth + self.reg.value(x)
 
     def prox_stack(self, alpha: float, y_stack: np.ndarray) -> np.ndarray:
         """Row-wise prox of the shared regularizer (each prox is separable)."""
@@ -413,8 +402,7 @@ def centralized_solve(
     problem: ProblemInstance,
     tol: float = 1e-12,
     max_iter: int = 10**6,
-    track_objective: bool = False,
-) -> ReferenceSolution | tuple[ReferenceSolution, list[float]]:
+) -> ReferenceSolution:
     """Reference solution of ``min (1/n) sum f_i + r`` by proximal gradient.
 
     Fixed step ``1/L``; stops when the gradient-mapping residual
@@ -429,16 +417,12 @@ def centralized_solve(
         raise ValueError(f"tolerance must be positive, got {tol}")
     alpha = 1.0 / problem.L
     x = np.zeros(problem.dim)
-    history: list[float] = []
     for it in range(1, max_iter + 1):
-        if track_objective:
-            history.append(problem.objective(x))
         x_next = problem.reg.prox(alpha, x - alpha * problem.gradient_average(x))
         residual = float(np.linalg.norm(x - x_next))
         x = x_next
         if residual <= tol * max(1.0, float(np.linalg.norm(x))):
-            ref = ReferenceSolution(xstar=x, residual=residual, iterations=it)
-            return (ref, history) if track_objective else ref
+            return ReferenceSolution(xstar=x, residual=residual, iterations=it)
     best = ReferenceSolution(xstar=x, residual=residual, iterations=max_iter)
     raise CentralizedSolveError(
         f"no convergence to {tol} within {max_iter} iterations", best

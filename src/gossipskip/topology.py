@@ -20,7 +20,6 @@ __all__ = [
     "build_ring",
     "build_random_connectivity",
     "metropolis_weights",
-    "spectral_gap",
     "write_edge_list",
     "read_edge_list",
     "write_mixing_csv",
@@ -225,21 +224,6 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
     return MixingMatrix.from_matrix(w, graph=g)
-
-
-def spectral_gap(w: MixingMatrix | np.ndarray) -> float:
-    """``max{|lam_2|, |lam_n|}`` of a symmetric stochastic matrix.
-
-    Equals the spectral radius of ``W - (1/n) 11^T``.  Returns 0 for a
-    single node.
-    """
-    if isinstance(w, MixingMatrix):
-        return w.rho
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] == 1:
-        return 0.0
-    lam = np.sort(np.linalg.eigvalsh(w))[::-1]
-    return float(max(abs(lam[1]), abs(lam[-1])))
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

@@ -64,6 +64,7 @@ class TestVerify:
         config.write_text(
             COMPLETE_GRAPH_CONFIG.replace("graph.kind = random", "graph.kind = ring")
             .replace("graph.n = 5", "graph.n = 15")
+            .replace("graph.iota = 1.0\ngraph.seed = 0\n", "")
             .replace("problem.kappa = 6.0", "problem.kappa_rule = half_over_gap")
         )
         code = main(["verify", "--config", str(config), "--steps", "30"])

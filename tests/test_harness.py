@@ -1,10 +1,11 @@
-"""Config parsing, experiment execution, CSV schema, aggregation."""
+"""Config parsing, experiment execution, CSV schema."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ import pytest
 from gossipskip import (
     AlgorithmSpec,
     RunConfig,
-    aggregate_seeds,
     mg_skip_run,
     parse_config,
     run_experiment,
 )
+from gossipskip import harness
 from gossipskip.harness import (
     TRACE_COLUMNS,
     build_gossip,
@@ -24,6 +25,8 @@ from gossipskip.harness import (
     build_problem,
     write_trace_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """
 # ring benchmark, two skipping variants
@@ -74,7 +77,9 @@ class TestParseConfig:
             "alg.0.k = fixed:2",
             "run.seed = 3",
             "problem.kapa = 50",
+            "problem.kappa_coeff = 0.5",
             "alg.0.eta_variant = printed",
+            "alg.x.kind = mg_skip",
         ],
     )
     def test_unknown_key(self, line):
@@ -104,15 +109,76 @@ class TestParseConfig:
         ):
             parse_config(text)
 
-    def test_every_read_key_accepted(self):
-        extra = (
-            "problem.lsmooth = 4.0\nproblem.kappa = 3\nproblem.kappa_coeff = 0.5\n"
-            "problem.gamma1 = 0.1\nproblem.gamma2 = 0.0\nproblem.samples_per_node = 5\n"
-            "problem.path = unused.txt\ngraph.iota = 0.5\ngraph.seed = 2\n"
-            "alg.1.K = fixed:2\nalg.1.name = custom\n"
+    @pytest.mark.parametrize("line", ["graph.iota = 0.5", "graph.seed = 2"])
+    def test_graph_key_unused_by_kind(self, line):
+        self.check_unused_by_kind(BASE_CONFIG, "ring", line)
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("logistic", "problem.kappa = 3"),
+            ("logistic", "problem.mu = 1.0"),
+            ("logistic", "problem.kappa_rule = half_over_gap"),
+            ("least_squares", "problem.gamma1 = 0.1"),
+            ("least_squares", "problem.samples_per_node = 5"),
+        ],
+    )
+    def test_problem_key_unused_by_kind(self, kind, line):
+        text = BASE_CONFIG.replace(
+            "problem.kind = least_squares\nproblem.d = 10\nproblem.mu = 1.0\n"
+            "problem.kappa_rule = half_over_gap\n",
+            f"problem.kind = {kind}\nproblem.d = 4\n",
         )
-        spec = parse_config(BASE_CONFIG + extra)
-        assert spec.algorithms[1].name == "custom" and spec.algorithms[1].k_rule == "fixed:2"
+        self.check_unused_by_kind(text, kind, line)
+
+    @staticmethod
+    def check_unused_by_kind(text, kind, line):
+        text += line + "\n"
+        lineno = len(text.splitlines())
+        key = line.split(" = ")[0]
+        with pytest.raises(
+            ValueError, match=f"line {lineno}: key '{key}' does not apply to kind '{kind}'"
+        ):
+            parse_config(text)
+
+    def test_every_read_key_accepted(self, tmp_path):
+        (tmp_path / "data.txt").write_text("+1 1:0.5\n-1 2:0.5\n")
+        # every run key, and the one algorithm row each config needs
+        base = (
+            "run.T = 10\nrun.tol = 0.0\nrun.seeds = 0\nrun.diagnostics = false\n"
+            "alg.9.kind = mg_skip\n"
+        )
+        per_kind = [
+            "graph.kind = ring\ngraph.n = 5\n",
+            "graph.kind = random\ngraph.n = 5\ngraph.iota = 0.5\ngraph.seed = 2\n",
+            "problem.kind = least_squares\nproblem.d = 3\nproblem.mu = 1.0\n"
+            "problem.lsmooth = 4.0\nproblem.gamma2 = 0.1\nproblem.seed = 1\n",
+            "problem.kappa = 3\n",
+            "problem.kappa_rule = half_over_gap\n",
+            "problem.kind = logistic\nproblem.d = 3\nproblem.samples_per_node = 5\n"
+            "problem.gamma1 = 0.1\nproblem.gamma2 = 0.0\nproblem.seed = 1\n",
+            "problem.kind = libsvm\nproblem.path = data.txt\nproblem.gamma1 = 0.1\n"
+            "problem.gamma2 = 0.0\nproblem.seed = 1\n",
+            "alg.0.kind = mg_skip\nalg.0.alpha = one_over_L\nalg.0.p = 0.5\n"
+            "alg.0.K = fixed:2\nalg.0.name = custom\nsummary.baseline = custom\n",
+            "alg.0.kind = skip1\nalg.0.alpha = one_over_L\nalg.0.p = 0.5\nalg.0.name = s\n",
+            "alg.0.kind = puda_nids\nalg.0.alpha = one_over_L\nalg.0.name = e\n",
+        ]
+        for keys in per_kind:
+            parse_config(base + keys, base_dir=tmp_path)
+
+    def test_readme_and_shipped_configs_parse(self, ring15_mixing):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        shipped = ROOT / "configs" / "ring15.cfg"
+        for spec in (
+            parse_config(block),
+            parse_config(shipped.read_text(), base_dir=shipped.parent),
+        ):
+            assert build_graph(spec).n == 15
+            assert build_problem(spec, ring15_mixing).kappa == pytest.approx(
+                0.5 / (1.0 - ring15_mixing.rho)
+            )
 
     def test_missing_libsvm_file(self):
         text = "problem.kind = libsvm\nproblem.path = nope.txt\nalg.0.kind = mg_skip\nrun.seeds = 0"
@@ -220,6 +286,33 @@ class TestRunExperiment:
         grad = [int(r.split(",")[5]) for r in rows]
         assert comm == sorted(comm) and grad == sorted(grad)
 
+    def test_engine_row_runs_once_for_all_seeds(self, tmp_path, monkeypatch):
+        calls = []
+        puda_run = harness.puda_run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return puda_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "puda_run", counted)
+        text = (
+            BASE_CONFIG.replace("run.seeds = 0", "run.seeds = 0,1")
+            + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
+        )
+        summary = run_experiment(parse_config(text), tmp_path, config_text=text)
+        assert len(calls) == 1
+        traces = [
+            (tmp_path / f"puda_nids__seed{seed}.csv").read_text().splitlines()
+            for seed in (0, 1)
+        ]
+        assert len(traces[0]) == len(traces[1]) == 1 + 10
+        for row0, row1 in zip(traces[0][1:], traces[1][1:]):
+            cells0, cells1 = row0.split(","), row1.split(",")
+            assert (cells0[1], cells1[1]) == ("0", "1")
+            assert cells0[:1] + cells0[2:] == cells1[:1] + cells1[2:]
+        engine_rows = [row for row in summary["per_run"] if row["algorithm"] == "puda_nids"]
+        assert [row["seed"] for row in engine_rows] == [0, 1]
+
     def test_puda_algorithms_run(self, tmp_path):
         text = BASE_CONFIG + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
         spec = parse_config(text)
@@ -247,9 +340,8 @@ alg.0.alpha = one_over_L
 alg.0.p = 1.0
 """
         )
-        from gossipskip import load_experiment
-
-        spec = load_experiment(config)  # path resolves relative to the config
+        # the path resolves relative to the config's directory
+        spec = parse_config(config.read_text(), base_dir=config.parent)
         summary = run_experiment(spec, tmp_path / "out", config_text=config.read_text())
         assert summary["per_run"][0]["final_rel_err"] < 1.0
 
@@ -346,6 +438,19 @@ class TestBuilders:
         p = build_problem(parse_config(text), ring15_mixing)
         assert p.L == pytest.approx(4.0)
 
+    def test_unknown_kappa_rule_rejected(self, ring15_mixing):
+        text = BASE_CONFIG.replace("= half_over_gap", "= half_over_gapp")
+        with pytest.raises(ValueError, match="unknown kappa rule 'half_over_gapp'"):
+            build_problem(parse_config(text), ring15_mixing)
+
+    def test_curvature_set_once(self, ring15_mixing):
+        text = BASE_CONFIG.replace(
+            "problem.kappa_rule = half_over_gap",
+            "problem.lsmooth = 4.0\nproblem.kappa = 3",
+        )
+        with pytest.raises(ValueError, match="set only one of problem.lsmooth, problem.kappa"):
+            build_problem(parse_config(text), ring15_mixing)
+
 
 class TestPSweepDirection:
     def test_comm_to_tol_shrinks_down_to_optimal_p(self, tmp_path, bench):
@@ -367,49 +472,3 @@ class TestPSweepDirection:
         assert comms[0] > comms[1] > comms[2]
         iters = [summary["mean"][a.name]["iterations_to_tol"] for a in algs]
         assert max(iters) / min(iters) <= 1.05
-
-
-class TestAggregateSeeds:
-    def run_for_seed(self, bench, seed, T=40):
-        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=T, tol=0.0, seed=seed)
-        return mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
-
-    def test_single_seed_zero_ci(self, bench):
-        agg = aggregate_seeds([self.run_for_seed(bench, 0)])
-        assert np.all(agg.rel_err_ci == 0.0) and agg.n_seeds == 1
-        assert not agg.ragged
-
-    def test_identical_seeds_zero_ci(self, bench):
-        traces = [self.run_for_seed(bench, 4), self.run_for_seed(bench, 4)]
-        agg = aggregate_seeds(traces)
-        assert np.allclose(agg.rel_err_ci, 0.0)
-
-    def test_ragged_alignment(self, bench):
-        traces = [
-            self.run_for_seed(bench, 0, T=40),
-            self.run_for_seed(bench, 1, T=25),
-        ]
-        agg = aggregate_seeds(traces)
-        assert agg.ragged and len(agg.t) == 25
-
-    def test_mean_matches_stack(self, bench):
-        traces = [self.run_for_seed(bench, s) for s in range(4)]
-        agg = aggregate_seeds(traces)
-        manual = np.mean([tr.rel_err for tr in traces], axis=0)
-        assert np.allclose(agg.rel_err_mean, manual)
-
-    def test_mean_psi_under_zeta_envelope(self, bench):
-        from gossipskip import contraction_factor
-
-        traces = []
-        for seed in range(20):
-            cfg = RunConfig(alpha=bench.alpha, p=0.5, T=250, tol=0.0, seed=seed)
-            traces.append(
-                mg_skip_run(
-                    bench.problem, bench.gossip, cfg, bench.reference, diagnostics=True
-                )
-            )
-        agg = aggregate_seeds(traces)
-        zeta = contraction_factor(bench.alpha, 0.5, bench.problem.mu, bench.problem.L)
-        envelope = 1.10 * traces[0].psi0 * zeta ** (agg.t + 1)
-        assert (agg.psi_mean <= envelope).all()

@@ -295,12 +295,6 @@ class TestCentralizedSolve:
             1.0, np.linalg.norm(ref.xstar)
         )
 
-    def test_objective_monotone(self):
-        p = gen_least_squares(6, 8, 1.0, 12.0, seed=6)
-        _, history = centralized_solve(p, tol=1e-10, track_objective=True)
-        diffs = np.diff(np.array(history))
-        assert (diffs <= 1e-12).all()
-
     def test_iteration_cap_carries_best(self):
         p = gen_least_squares(4, 6, 1.0, 50.0, seed=0)
         with pytest.raises(CentralizedSolveError) as err:

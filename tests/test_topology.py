@@ -12,7 +12,6 @@ from gossipskip import (
     build_ring,
     metropolis_weights,
     read_edge_list,
-    spectral_gap,
     write_edge_list,
     write_mixing_csv,
 )
@@ -132,8 +131,8 @@ class TestMetropolis:
 
 class TestSpectralGap:
     def test_uniform_matrix_gap_zero(self):
-        w = np.full((6, 6), 1.0 / 6.0)
-        assert spectral_gap(w) == pytest.approx(0.0, abs=1e-12)
+        m = MixingMatrix.from_matrix(np.full((6, 6), 1.0 / 6.0))
+        assert m.rho == pytest.approx(0.0, abs=1e-12)
 
     def test_single_node_convention(self):
         m = MixingMatrix.from_matrix(np.array([[1.0]]))
