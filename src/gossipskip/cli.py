@@ -202,7 +202,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config file not found: {config}", file=sys.stderr)
         return 2
     config_text = config.read_text()
-    spec = parse_config(config_text, base_dir=config.parent)
+    try:
+        spec = parse_config(config_text, base_dir=config.parent)
+    except (ValueError, FileNotFoundError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
     return command(args, spec, config_text)
 

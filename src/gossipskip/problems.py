@@ -6,11 +6,17 @@ proximal mapping.  Generators cover the synthetic least-squares and
 logistic families, a LIBSVM-format loader partitions real data across
 nodes, and :func:`centralized_solve` produces the reference solution
 ``x*`` that all relative-error traces share.
+
+Both families have a stacked gradient kernel, built once per instance,
+that computes every node's gradient in batched array operations: stacked
+Gram matrices for least squares, zero-padded features for logistic
+losses.  Any other loss object falls back to one ``gradient`` call per
+node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,18 +83,22 @@ class LogisticLoss:
     ``f(x) = (1/m) sum_j log(1 + exp(-(a_j . x) b_j)) + gamma1 ||x||^2``
     with labels ``b_j in {-1, +1}``.  Strong convexity ``mu = 2*gamma1``
     is exact; ``lsmooth = 2*gamma1 + sum_j ||a_j||^2 / (4m)`` is the
-    certified curvature upper bound.
+    certified curvature upper bound, computed once at construction.
     """
 
     features: np.ndarray
     labels: np.ndarray
     gamma1: float
+    lsmooth: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gamma1 <= 0.0:
             raise ValueError("gamma1 must be positive for strong convexity")
         if set(np.unique(self.labels)) - {-1.0, 1.0}:
             raise ValueError("labels must be in {-1, +1}")
+        m = self.features.shape[0]
+        lsmooth = 2.0 * self.gamma1 + float((self.features**2).sum()) / (4.0 * m)
+        object.__setattr__(self, "lsmooth", lsmooth)
 
     @property
     def dim(self) -> int:
@@ -97,11 +107,6 @@ class LogisticLoss:
     @property
     def mu(self) -> float:
         return 2.0 * self.gamma1
-
-    @property
-    def lsmooth(self) -> float:
-        m = self.features.shape[0]
-        return 2.0 * self.gamma1 + float((self.features**2).sum()) / (4.0 * m)
 
     def value(self, x: np.ndarray) -> float:
         margins = (self.features @ x) * self.labels
@@ -144,42 +149,86 @@ def l1_prox(alpha: float, weight: float, y: np.ndarray) -> np.ndarray:
     return np.sign(y) * np.maximum(np.abs(y) - alpha * weight, 0.0)
 
 
+class _QuadraticStack:
+    """Every node's ``A_i^T A_i x_i - A_i^T b_i`` from stacked Gram matrices."""
+
+    def __init__(self, losses: tuple) -> None:
+        self.grams = np.stack([f._gram for f in losses])
+        self.atbs = np.stack([f._atb for f in losses])
+        self.mean_gram = self.grams.mean(axis=0)
+        self.mean_atb = self.atbs.mean(axis=0)
+
+    def gradients(self, x_stack: np.ndarray) -> np.ndarray:
+        return np.einsum("nij,nj->ni", self.grams, x_stack) - self.atbs
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        return self.mean_gram @ x - self.mean_atb
+
+
+class _LogisticStack:
+    """Every node's logistic gradient from zero-padded stacked samples.
+
+    Node ``i``'s ``m_i`` samples fill the first rows of its block and the
+    rest are zero features labelled +1.  A zero feature row adds exactly 0
+    to the gradient, so unequal partitions are exact.
+    """
+
+    def __init__(self, losses: tuple) -> None:
+        self.counts = np.array([[len(f.labels)] for f in losses])
+        m_max = int(self.counts.max())
+        self.features = np.zeros((len(losses), m_max, losses[0].dim))
+        self.labels = np.ones((len(losses), m_max))
+        for i, f in enumerate(losses):
+            self.features[i, : len(f.labels)] = f.features
+            self.labels[i, : len(f.labels)] = f.labels
+        self.two_gamma1 = np.array([[2.0 * f.gamma1] for f in losses])
+
+    def gradients(self, x_stack: np.ndarray) -> np.ndarray:
+        margins = np.matmul(self.features, x_stack[:, :, None])[:, :, 0] * self.labels
+        # the same tanh form of sigmoid(-margin) as LogisticLoss.gradient
+        weights = 0.5 * (1.0 + np.tanh(-0.5 * margins)) * self.labels
+        sums = np.matmul(weights[:, None, :], self.features)[:, 0, :]
+        return -(sums / self.counts) + self.two_gamma1 * x_stack
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        x_stack = np.broadcast_to(x, (len(self.features), x.size))
+        return self.gradients(x_stack).mean(axis=0)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Per-node smooth losses plus one shared proximable regularizer."""
+    """Per-node smooth losses plus one shared proximable regularizer.
+
+    ``L`` (largest ``L_i``) and ``mu`` (smallest ``mu_i``) are computed
+    once at construction.
+    """
 
     losses: tuple
     reg: object
     dim: int
+    L: float = field(init=False, repr=False)
+    mu: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.losses:
             raise ValueError("need at least one node loss")
         if any(f.dim != self.dim for f in self.losses):
             raise ValueError("inconsistent loss dimensions")
+        object.__setattr__(self, "L", max(f.lsmooth for f in self.losses))
+        object.__setattr__(self, "mu", min(f.mu for f in self.losses))
         if self.mu <= 0.0:
             raise ValueError("losses must be strongly convex (mu > 0)")
-        # fast stacked-gradient path when every node is quadratic
         if all(isinstance(f, QuadraticLoss) for f in self.losses):
-            grams = np.stack([f._gram for f in self.losses])
-            atbs = np.stack([f._atb for f in self.losses])
-            object.__setattr__(self, "_grams", grams)
-            object.__setattr__(self, "_atbs", atbs)
+            stack = _QuadraticStack(self.losses)
+        elif all(isinstance(f, LogisticLoss) for f in self.losses):
+            stack = _LogisticStack(self.losses)
         else:
-            object.__setattr__(self, "_grams", None)
-            object.__setattr__(self, "_atbs", None)
+            stack = None
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def n(self) -> int:
         return len(self.losses)
-
-    @property
-    def L(self) -> float:
-        return max(f.lsmooth for f in self.losses)
-
-    @property
-    def mu(self) -> float:
-        return min(f.mu for f in self.losses)
 
     @property
     def kappa(self) -> float:
@@ -187,16 +236,16 @@ class ProblemInstance:
 
     def gradient_stack(self, x_stack: np.ndarray) -> np.ndarray:
         """Per-node gradients of the stacked iterate, shape ``(n, d)``."""
-        if self._grams is not None:
-            return np.einsum("nij,nj->ni", self._grams, x_stack) - self._atbs
+        if self._stack is not None:
+            return self._stack.gradients(x_stack)
         return np.stack(
             [f.gradient(x_stack[i]) for i, f in enumerate(self.losses)]
         )
 
     def gradient_average(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``(1/n) sum_i f_i`` at a single point."""
-        if self._grams is not None:
-            return self._grams.mean(axis=0) @ x - self._atbs.mean(axis=0)
+        if self._stack is not None:
+            return self._stack.average(x)
         return np.mean([f.gradient(x) for f in self.losses], axis=0)
 
     def prox_stack(self, alpha: float, y_stack: np.ndarray) -> np.ndarray:

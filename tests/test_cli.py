@@ -105,6 +105,33 @@ class TestRun:
             main(["run", "--bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("graph.kind = random", "graph.kind = ring"), "does not apply to kind 'ring'"),
+            (("problem.kind = least_squares\nproblem.d = 4\nproblem.mu = 1.0\nproblem.kappa = 6.0",
+              "problem.kind = libsvm\nproblem.path = none.svm\nproblem.gamma1 = 0.1"),
+             "libsvm file not found"),
+        ],
+    )
+    def test_config_error_exit_2(self, tmp_path, capsys, edit, message):
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG.replace(*edit))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_time_error_still_raises(self, tmp_path):
+        # only parsing is caught; a config that parses but cannot run raises
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG.replace("alg.0.alpha = one_over_5L", "alg.0.alpha = fixed:10")
+        )
+        with pytest.raises(RuntimeError, match="must be < 2"):
+            main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+
 
 class TestSweep:
     def test_sweep_expands_p_grid(self, tmp_path, capsys):

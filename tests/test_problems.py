@@ -316,6 +316,54 @@ class TestProblemInstance:
         loop = np.stack([f.gradient(xs[i]) for i, f in enumerate(p.losses)])
         assert np.abs(p.gradient_stack(xs) - loop).max() <= 1e-14
 
+    @staticmethod
+    def logistic_instances():
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((101, 6))
+        labels = np.where(rng.standard_normal(101) >= 0.0, 1.0, -1.0)
+        bounds = [0, 30, 55, 81, 101]  # 30, 25, 26 and 20 samples
+        parts = [(feats[a:b], labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return [
+            gen_logistic(20, 22, 100, gamma1=0.1, gamma2=0.001, seed=1),
+            logistic_from_parts(parts, gamma1=0.05, gamma2=0.01),
+        ]
+
+    def test_stacked_logistic_gradient_matches_loop(self):
+        rng = np.random.default_rng(0)
+        for p in self.logistic_instances():
+            for _ in range(5):
+                xs = 3.0 * rng.standard_normal((p.n, p.dim))
+                loop = np.stack([f.gradient(xs[i]) for i, f in enumerate(p.losses)])
+                assert np.abs(p.gradient_stack(xs) - loop).max() <= 1e-14
+
+    def test_gradient_average_is_mean_of_node_gradients(self):
+        rng = np.random.default_rng(1)
+        for p in [gen_least_squares(5, 7, 1.0, 4.0, seed=12), *self.logistic_instances()]:
+            x = rng.standard_normal(p.dim)
+            loop = np.mean([f.gradient(x) for f in p.losses], axis=0)
+            assert np.abs(p.gradient_average(x) - loop).max() <= 1e-14
+
+    def test_reference_matches_per_node_loop_solve(self):
+        class PerNode:
+            """Duck-typed loss, so the instance takes the per-node loop."""
+
+            def __init__(self, loss):
+                self.loss = loss
+                self.dim, self.mu, self.lsmooth = loss.dim, loss.mu, loss.lsmooth
+
+            def gradient(self, x):
+                return self.loss.gradient(x)
+
+        for p in self.logistic_instances():
+            looped = ProblemInstance(
+                losses=tuple(PerNode(f) for f in p.losses), reg=p.reg, dim=p.dim
+            )
+            assert looped._stack is None
+            assert isinstance(p.reg, L1Reg)
+            want = centralized_solve(looped).xstar
+            got = centralized_solve(p).xstar
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_csv_bundle(self, tmp_path):
         p = gen_least_squares(3, 4, 1.0, 2.0, seed=1)
         save_csv_bundle(p, tmp_path)
