@@ -17,11 +17,12 @@ from ``Y`` through the pseudo-inverse of ``sqrt((I-Mbar)/2)``, and the
 exact one-step conditional-expectation contraction check against
 ``zeta = max{(1-alpha*mu)^2, (1-alpha*L)^2, 1-p^2/5}``.
 
-A generic primal-dual engine parameterized by three symmetric matrices
-(checked for ``A^2 <= B <= I``, strictly below 1 off the consensus
-direction, and ``0 <= C <= 2I``) covers the deterministic baselines;
-its ``mgskip_p1`` preset reproduces the main iteration at ``p = 1``
-exactly.
+The deterministic baselines run on a three-matrix primal-dual engine
+with ``A = B = H = (I + Mbar)/2``, applied through the gossip operator,
+and ``C`` either ``H`` (NIDS) or ``I``; its conditions reduce to every
+non-consensus eigenvalue of ``Mbar`` lying in ``[-1, 1)``, checked on the
+operator's spectrum.  The ``C = I`` preset reproduces the main iteration
+at ``p = 1`` exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .gossip import MultiGossipOperator
 from .problems import ProblemInstance, ReferenceSolution
-from .topology import MixingMatrix
 
 __all__ = [
     "RunConfig",
@@ -128,7 +128,8 @@ def mg_skip_step(
     else:
         y = state.y
         x = problem.prox_stack(alpha, z)
-    if not np.isfinite(x).all():
+    # a skipped step keeps the Y that was checked when it was made
+    if not np.isfinite(x).all() or (theta and not np.isfinite(y).all()):
         raise DivergenceError("non-finite iterate")
     return MGSkipState(x=x, y=y)
 
@@ -384,67 +385,42 @@ def check_contraction(
 
 @dataclass(frozen=True)
 class PUDAConfig:
-    """Three-matrix primal update engine.
+    """Three-matrix primal update engine with ``A = B = H = (I + Mbar)/2``.
 
     Iterates ``z <- B z_prev + C (x - x_prev) + alpha * (grad_prev - grad)``
-    followed by ``x <- prox_{alpha R}(A z)``.  Construction verifies the
-    convergence conditions by eigendecomposition: ``A^2 <= B <= I``
-    with ``B`` strictly below 1 off the consensus direction, and
-    ``0 <= C <= 2I``.  ``comm_rounds_per_iter`` declares how many
-    weight applications one iteration encodes.
+    followed by ``x <- prox_{alpha R}(A z)``, where ``C`` is ``H`` when
+    ``c_is_h`` and ``I`` otherwise.  ``H`` is applied through the gossip
+    operator, and a run counts ``gossip.K`` rounds per iteration.  The
+    convergence conditions ``A^2 <= B <= I``, ``B`` strictly below 1 off
+    the consensus direction, and ``0 <= C <= 2I`` hold exactly when every
+    non-consensus eigenvalue of ``Mbar`` lies in ``[-1, 1)``; construction
+    checks that on :attr:`MultiGossipOperator.spectrum`.
     """
 
-    name: str
-    a_mat: np.ndarray
-    b_mat: np.ndarray
-    c_mat: np.ndarray
-    comm_rounds_per_iter: int
+    gossip: MultiGossipOperator
+    c_is_h: bool
 
     def __post_init__(self) -> None:
-        n = self.a_mat.shape[0]
-        for label, m in (("A", self.a_mat), ("B", self.b_mat), ("C", self.c_mat)):
-            if m.shape != (n, n):
-                raise ValueError(f"{label} must be {n}x{n}")
-            if np.abs(m - m.T).max() > 1e-12:
-                raise ValueError(f"{label} must be symmetric")
-        if np.linalg.eigvalsh(self.b_mat - self.a_mat @ self.a_mat).min() < -1e-10:
-            raise ValueError("need A^2 <= B")
-        b_eigs = np.linalg.eigvalsh(self.b_mat)
-        if b_eigs.max() > 1.0 + 1e-12:
-            raise ValueError("need B <= I")
-        proj = np.eye(n) - np.ones((n, n)) / n
-        centered = proj @ self.b_mat @ proj
-        if np.linalg.eigvalsh(0.5 * (centered + centered.T)).max() >= 1.0 - 1e-10:
+        # ascending; the largest is the consensus eigenvalue 1
+        lam = self.gossip.spectrum
+        if lam[0] < -1.0 - 1e-10:
+            raise ValueError(f"need A^2 <= B: Mbar has eigenvalue {lam[0]:.4g} < -1")
+        if lam[:-1].max(initial=-1.0) >= 1.0 - 1e-10:
             raise ValueError("need B strictly below 1 off the consensus direction")
-        c_eigs = np.linalg.eigvalsh(self.c_mat)
-        if c_eigs.min() < -1e-10 or c_eigs.max() > 2.0 + 1e-10:
-            raise ValueError("need 0 <= C <= 2I")
+
+    def h(self, v: np.ndarray) -> np.ndarray:
+        """``H v = v - (I - Mbar) v / 2``."""
+        return v - 0.5 * self.gossip.fast_goss(v)
 
 
 def puda_mgskip_p1(gossip: MultiGossipOperator) -> PUDAConfig:
-    """``A = B = (I + Mbar)/2, C = I``: the skipping iteration at p = 1."""
-    n = gossip.n
-    half = 0.5 * (np.eye(n) + gossip.mbar)
-    half = 0.5 * (half + half.T)
-    return PUDAConfig(
-        name="mgskip_p1",
-        a_mat=half,
-        b_mat=half,
-        c_mat=np.eye(n),
-        comm_rounds_per_iter=gossip.K,
-    )
+    """``C = I``: the skipping iteration at p = 1."""
+    return PUDAConfig(gossip=gossip, c_is_h=False)
 
 
-def puda_nids(mixing: MixingMatrix) -> PUDAConfig:
-    """``A = B = C = (I + W)/2``."""
-    half = 0.5 * (np.eye(mixing.n) + mixing.w)
-    return PUDAConfig(
-        name="nids_style",
-        a_mat=half,
-        b_mat=half,
-        c_mat=half,
-        comm_rounds_per_iter=1,
-    )
+def puda_nids(gossip: MultiGossipOperator) -> PUDAConfig:
+    """``C = H``: NIDS, on the one-round operator ``Mbar = W``."""
+    return PUDAConfig(gossip=gossip, c_is_h=True)
 
 
 @dataclass(frozen=True)
@@ -465,12 +441,10 @@ def puda_step(
 ) -> PUDAState:
     """One engine iteration."""
     g = problem.gradient_stack(state.x)
-    z = (
-        cfg.b_mat @ state.z_prev
-        + cfg.c_mat @ (state.x - state.x_prev)
-        + alpha * (state.grad_prev - g)
-    )
-    x_new = problem.prox_stack(alpha, cfg.a_mat @ z)
+    dx = state.x - state.x_prev
+    z = cfg.h(state.z_prev + dx) if cfg.c_is_h else cfg.h(state.z_prev) + dx
+    z += alpha * (state.grad_prev - g)
+    x_new = problem.prox_stack(alpha, cfg.h(z))
     if not np.isfinite(x_new).all():
         raise DivergenceError("non-finite iterate")
     return PUDAState(x=x_new, x_prev=state.x, z_prev=z, grad_prev=g)
@@ -495,7 +469,7 @@ def puda_run(
         lambda state, theta: puda_step(state, problem, cfg, alpha),
         PUDAState(x=zero, x_prev=zero, z_prev=zero, grad_prev=zero),
         [1] * T,
-        cfg.comm_rounds_per_iter,
+        cfg.gossip.K,
         np.tile(_as_xstar(xstar), (problem.n, 1)),
         tol,
     )

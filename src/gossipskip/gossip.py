@@ -139,6 +139,12 @@ class MultiGossipOperator:
             self._cache["mbar"] = m
         return self._cache["mbar"]
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of ``Mbar``, ascending: the recursion run on each eigenvalue of ``W``."""
+        lam = self.mixing.eigenvalues
+        return np.sort(_chebyshev(partial(np.multiply, lam), np.ones_like(lam), self.K, self.eta))
+
     def fast_goss(self, states: np.ndarray) -> np.ndarray:
         """Distributed evaluation of ``(I - Mbar) @ states``.
 

@@ -115,6 +115,9 @@ class AlgorithmSpec:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
+        # resolving checks both rules, so a bad one fails with the config
+        self.resolve_alpha(1.0)
+        self.resolve_K(0.0)
         if not self.name:
             label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"
             object.__setattr__(self, "name", label)
@@ -124,18 +127,29 @@ class AlgorithmSpec:
             return 1.0 / (5.0 * lsmooth)
         if self.alpha_rule == "one_over_L":
             return 1.0 / lsmooth
-        if self.alpha_rule.startswith("fixed:"):
-            return float(self.alpha_rule.split(":", 1)[1])
-        raise ValueError(f"unknown alpha rule {self.alpha_rule!r}")
+        alpha = _fixed(self.alpha_rule, float)
+        if not 0.0 < alpha < math.inf:
+            expected = "one_over_5L, one_over_L or fixed:<float > 0>"
+            raise ValueError(f"unknown alpha rule {self.alpha_rule!r}; expected {expected}")
+        return alpha
 
     def resolve_K(self, rho: float) -> int:
-        if self.kind == "skip1":
-            return 1
         if self.k_rule == "default":
             return default_K(rho)
-        if self.k_rule.startswith("fixed:"):
-            return int(self.k_rule.split(":", 1)[1])
-        raise ValueError(f"unknown K rule {self.k_rule!r}")
+        k = _fixed(self.k_rule, int)
+        if k < 1:
+            expected = "default or fixed:<int >= 1>"
+            raise ValueError(f"unknown K rule {self.k_rule!r}; expected {expected}")
+        return k
+
+
+def _fixed(rule: str, cast):
+    """The value of a ``fixed:<value>`` rule read by ``cast``, else 0, which no rule accepts."""
+    prefix, _, text = rule.partition(":")
+    try:
+        return cast(text) if prefix == "fixed" else 0
+    except ValueError:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -327,13 +341,11 @@ def build_problem(spec: ExperimentSpec, mixing: MixingMatrix) -> ProblemInstance
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def build_gossip(
-    alg: AlgorithmSpec, mixing: MixingMatrix
-) -> MultiGossipOperator:
-    if alg.kind == "skip1":
-        # plain single-gossip baseline: Mbar = W exactly
-        return MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
-    return MultiGossipOperator.from_mixing(mixing, K=alg.resolve_K(mixing.rho))
+def build_gossip(alg: AlgorithmSpec, mixing: MixingMatrix) -> MultiGossipOperator:
+    """``mg_skip``'s Chebyshev rounds; one plain round, ``Mbar = W``, for the others."""
+    if alg.kind == "mg_skip":
+        return MultiGossipOperator.from_mixing(mixing, K=alg.resolve_K(mixing.rho))
+    return MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
 
 
 def write_trace_csv(path: Path, name: str, seed: int, result: RunResult) -> None:
@@ -380,8 +392,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     for alg in spec.algorithms:
         gossip = build_gossip(alg, mixing)
         alpha = alg.resolve_alpha(problem.L)
-        # the primal-dual engine multiplies by its dense matrices itself
-        kernels[alg.name] = "dense" if alg.kind == _ENGINE_KIND else gossip.kernel
+        kernels[alg.name] = gossip.kernel
         result = None
         for seed in spec.seeds:
             try:
@@ -395,7 +406,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
                 elif result is None:
                     # the engine ignores the seed, so its one run is every seed's trace
                     result = puda_run(
-                        problem, puda_nids(mixing), alpha, spec.T, reference, tol=spec.tol
+                        problem, puda_nids(gossip), alpha, spec.T, reference, tol=spec.tol
                     )
             except Exception as err:
                 # traces already on disk stay there; attach the run identity

@@ -14,7 +14,6 @@ from gossipskip import (
     MixingMatrix,
     MultiGossipOperator,
     ProblemInstance,
-    PUDAConfig,
     QuadraticLoss,
     RunConfig,
     ZeroReg,
@@ -219,6 +218,19 @@ class TestRun:
         assert partial is not None and partial.iterations == 3
         assert np.isfinite(partial.rel_err).all()
 
+    def test_divergence_in_dual_caught_at_once(self):
+        # a subnormal stepsize makes p/alpha overflow: Y turns infinite while X stays finite
+        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
+        gossip = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(6)))
+        cfg = RunConfig(alpha=1e-309, p=1.0, T=5, tol=0.0, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="t=0$"
+        ) as err:
+            mg_skip_run(problem, gossip, cfg, centralized_solve(problem, tol=1e-13))
+        partial = err.value.result
+        assert partial.iterations == 0
+        assert np.isfinite(partial.state.x).all() and np.isfinite(partial.state.y).all()
+
 
 class TestFixedPointResidual:
     def test_true_solution_small_residual(self, bench):
@@ -335,38 +347,55 @@ class TestContraction:
             )
 
 
+def one_round(mixing: MixingMatrix) -> MultiGossipOperator:
+    """The plain operator ``Mbar = W`` that NIDS runs on."""
+    return MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
+
+
 class TestPUDA:
     def test_preset_conditions_pass(self, bench):
         puda_mgskip_p1(bench.gossip)
-        puda_mgskip_p1(MultiGossipOperator(mixing=bench.mixing, K=1, eta=0.0))
-        puda_nids(bench.mixing)
+        puda_mgskip_p1(one_round(bench.mixing))
+        puda_nids(one_round(bench.mixing))
 
-    def test_nids_preset_eigencheck(self, bench):
-        cfg = puda_nids(bench.mixing)
-        lam = np.linalg.eigvalsh(bench.mixing.w)
-        half = (1.0 + lam) / 2.0
-        assert (half**2 <= half + 1e-12).all()
-        assert cfg.comm_rounds_per_iter == 1
+    def test_config_holds_operator_only(self, bench):
+        cfg = puda_nids(one_round(bench.mixing))
+        assert [f.name for f in fields(cfg)] == ["gossip", "c_is_h"]
+        assert cfg.c_is_h and not puda_mgskip_p1(bench.gossip).c_is_h
 
-    def test_invalid_configs_rejected(self, bench):
-        n = 15
-        eye = np.eye(n)
-        with pytest.raises(ValueError, match="A\\^2 <= B"):
-            PUDAConfig("bad", 1.1 * eye, eye, eye, 1)
-        with pytest.raises(ValueError, match="strictly below 1"):
-            PUDAConfig("bad", eye, eye, eye, 1)
-        with pytest.raises(ValueError, match="C <= 2I"):
-            PUDAConfig(
-                "bad",
-                0.5 * eye,
-                0.5 * eye + np.ones((n, n)) * 0.5 / n,
-                3.0 * eye,
-                1,
-            )
-        with pytest.raises(ValueError, match="symmetric"):
-            asym = eye.copy()
-            asym[0, 1] = 0.5
-            PUDAConfig("bad", asym, eye, eye, 1)
+    def test_rejects_eigenvalue_below_minus_one(self):
+        # ring-6 W has eigenvalue -1/3, so Mbar = 1.9 W - 0.9 I has -1.533
+        gossip = MultiGossipOperator(mixing=metropolis_weights(build_ring(6)), K=1, eta=0.9)
+        assert gossip.spectrum[0] == pytest.approx(-1.9 / 3 - 0.9, abs=1e-12)
+        for preset in (puda_mgskip_p1, puda_nids):
+            with pytest.raises(ValueError, match="A\\^2 <= B"):
+                preset(gossip)
+
+    def test_rejects_disconnected_mixing(self):
+        # two separate triangles: lam_2 = 1, so B has a second unit eigenvalue
+        block = np.full((3, 3), 1.0 / 3.0)
+        w = np.block([[block, np.zeros((3, 3))], [np.zeros((3, 3)), block]])
+        gossip = one_round(MixingMatrix.from_matrix(w))
+        for preset in (puda_mgskip_p1, puda_nids):
+            with pytest.raises(ValueError, match="strictly below 1"):
+                preset(gossip)
+
+    def test_construction_has_no_dense_matrices_at_ring1000(self):
+        import tracemalloc
+
+        n = 1000
+        mixing = metropolis_weights(build_ring(n))
+        problem = gen_least_squares(n, 3, 1.0, 4.0, seed=0)
+        reference = centralized_solve(problem, tol=1e-13)
+        alpha = 1.0 / (5.0 * problem.L)
+        tracemalloc.start()
+        try:
+            res = puda_run(problem, puda_nids(one_round(mixing)), alpha, 50, reference)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 50
+        assert peak < n * n * 8, f"peak {peak / 2**20:.2f} MiB"
 
     def test_mgskip_p1_preset_matches_skipper(self, bench):
         alpha = bench.alpha
@@ -396,7 +425,7 @@ class TestPUDA:
     def test_divergence_carries_partial_trace(self):
         problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
         reference = centralized_solve(problem, tol=1e-13)
-        cfg = puda_nids(metropolis_weights(build_ring(6)))
+        cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError
         ) as err:
@@ -415,20 +444,24 @@ class TestPUDA:
         assert [f.name for f in fields(res.state)] == ["x", "x_prev", "z_prev", "grad_prev"]
 
     def test_first_iterate_from_zero(self, bench):
-        """From zero, the first step is ``x1 = prox(A (-alpha grad F(0)))``."""
-        cfg = puda_nids(bench.mixing)
+        """From zero, the first step is ``x1 = prox(H (-alpha grad F(0)))``."""
+        gossip = one_round(bench.mixing)
+        cfg = puda_nids(gossip)
         alpha = bench.alpha
         res = puda_run(bench.problem, cfg, alpha, 1, bench.reference)
         zero = np.zeros((15, 10))
-        g0 = bench.problem.gradient_stack(zero)
-        x1 = bench.problem.prox_stack(alpha, cfg.a_mat @ (zero - alpha * g0))
+        z0 = zero - alpha * bench.problem.gradient_stack(zero)
+        x1 = bench.problem.prox_stack(alpha, z0 - 0.5 * gossip.fast_goss(z0))
         assert np.array_equal(res.state.x, x1)
-        assert np.array_equal(res.state.z_prev, zero - alpha * g0)
+        assert np.array_equal(res.state.z_prev, z0)
+        # H through the operator is (I + W)/2 on the one-round operator
+        half = 0.5 * (np.eye(15) + bench.mixing.w)
+        assert np.abs(res.state.x - bench.problem.prox_stack(alpha, half @ z0)).max() <= 1e-14
 
     def test_divergence_at_first_iteration(self):
         problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
         reference = centralized_solve(problem, tol=1e-13)
-        cfg = puda_nids(metropolis_weights(build_ring(6)))
+        cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             DivergenceError, match="t=0"
         ) as err:

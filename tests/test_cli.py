@@ -112,6 +112,10 @@ class TestRun:
             (("problem.kind = least_squares\nproblem.d = 4\nproblem.mu = 1.0\nproblem.kappa = 6.0",
               "problem.kind = libsvm\nproblem.path = none.svm\nproblem.gamma1 = 0.1"),
              "libsvm file not found"),
+            (("alg.0.alpha = one_over_5L", "alg.0.alpha = one_over_2L"),
+             "unknown alpha rule 'one_over_2L'"),
+            (("alg.0.p = 0.5", "alg.0.p = 0.5\nalg.0.K = twice"), "unknown K rule 'twice'"),
+            (("alg.0.p = 0.5", "alg.0.p = 0.5\nalg.0.K = fixed:0"), "unknown K rule 'fixed:0'"),
         ],
     )
     def test_config_error_exit_2(self, tmp_path, capsys, edit, message):

@@ -141,6 +141,16 @@ class TestSpectralConsistency:
         assert op.K == 1 and op.eta == 0.0
         assert np.allclose(op.mbar, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [build_ring(15), build_random_connectivity(20, 0.3, seed=1), build_ring(200)],
+        ids=["ring15", "random20", "ring200"],
+    )
+    def test_spectrum_matches_dense_eigvalsh(self, graph):
+        op = MultiGossipOperator.from_mixing(metropolis_weights(graph))
+        dense = np.linalg.eigvalsh(0.5 * (op.mbar + op.mbar.T))
+        assert np.abs(op.spectrum - dense).max() <= 1e-12
+
     def test_fast_goss_accepts_single_column(self, bench):
         v = np.arange(15.0)
         out = bench.gossip.fast_goss(v)

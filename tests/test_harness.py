@@ -208,10 +208,30 @@ class TestAlgorithmSpec:
     def test_k_rules(self):
         assert AlgorithmSpec(kind="mg_skip").resolve_K(0.9424) == 4
         assert AlgorithmSpec(kind="mg_skip", k_rule="fixed:2").resolve_K(0.9424) == 2
-        assert AlgorithmSpec(kind="skip1").resolve_K(0.9424) == 1
 
-    def test_skip1_uses_plain_mixing(self, ring15_mixing):
-        op = build_gossip(AlgorithmSpec(kind="skip1"), ring15_mixing)
+    @pytest.mark.parametrize(
+        "field, rule",
+        [
+            ("alpha_rule", "one_over_2L"),
+            ("alpha_rule", "fixed:0"),
+            ("alpha_rule", "fixed:-0.1"),
+            ("alpha_rule", "fixed:nan"),
+            ("alpha_rule", "fixed:abc"),
+            ("alpha_rule", "0.1"),
+            ("k_rule", "twice"),
+            ("k_rule", "fixed:0"),
+            ("k_rule", "fixed:2.5"),
+            ("k_rule", "3"),
+        ],
+    )
+    def test_bad_rule_rejected_at_construction(self, field, rule):
+        label = "alpha" if field == "alpha_rule" else "K"
+        with pytest.raises(ValueError, match=f"unknown {label} rule '{rule}'"):
+            AlgorithmSpec(kind="mg_skip", **{field: rule})
+
+    @pytest.mark.parametrize("kind", ["skip1", "puda_nids"])
+    def test_skip1_uses_plain_mixing(self, ring15_mixing, kind):
+        op = build_gossip(AlgorithmSpec(kind=kind), ring15_mixing)
         assert op.K == 1 and op.eta == 0.0
         assert np.array_equal(op.mbar, ring15_mixing.w)
 
@@ -236,6 +256,7 @@ class TestRunExperiment:
         large = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
             "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
         )
+        large += "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
         kernels = {}
         for label, text in (("small", small), ("large", large)):
             run_experiment(parse_config(text), tmp_path / label, config_text=text)
@@ -243,7 +264,11 @@ class TestRunExperiment:
             kernels[label] = manifest["gossip_kernels"]
         assert kernels == {
             "small": {"mg_skip_p1": "dense", "mg_skip_p0.5": "dense", "puda_nids": "dense"},
-            "large": {"mg_skip_p1": "neighbour", "mg_skip_p0.5": "neighbour"},
+            "large": {
+                "mg_skip_p1": "neighbour",
+                "mg_skip_p0.5": "neighbour",
+                "puda_nids": "neighbour",
+            },
         }
         rows = (tmp_path / "large" / "mg_skip_p1__seed0.csv").read_text().splitlines()
         assert rows[0] == ",".join(TRACE_COLUMNS) and len(rows) == 1 + 10
