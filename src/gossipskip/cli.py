@@ -150,19 +150,21 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
 
 
 def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
-    p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
-    if not p_values:
-        print("empty p grid", file=sys.stderr)
+    # the grid is checked like a config value: one error line and exit 2
+    try:
+        p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
+        if not p_values:
+            raise ValueError("empty p grid")
+        # an empty name relabels each variant; AlgorithmSpec checks p is in (0, 1]
+        variants = [replace(alg, p=p, name="") for alg in spec.algorithms for p in p_values]
+    except ValueError as err:
+        print(f"config error: --p {args.p!r}: {err}", file=sys.stderr)
         return 2
-    # an empty name relabels each variant; rows whose label ignores p collapse
-    expanded = []
-    seen = set()
-    for alg in spec.algorithms:
-        for variant in (replace(alg, p=p, name="") for p in p_values):
-            if variant.name not in seen:
-                seen.add(variant.name)
-                expanded.append(variant)
-    sweep_spec = replace(spec, algorithms=tuple(expanded), baseline="")
+    # rows whose label ignores p collapse to their first variant
+    expanded: dict = {}
+    for variant in variants:
+        expanded.setdefault(variant.name, variant)
+    sweep_spec = replace(spec, algorithms=tuple(expanded.values()), baseline="")
     summary = run_experiment(sweep_spec, args.out, config_text=config_text)
     _print_means(summary, final_err=False)
     return 0

@@ -17,6 +17,12 @@ Config files are flat ``key = value`` text with dotted sections, e.g.::
     alg.0.p = 1.0
     summary.baseline = mg_skip_p1
 
+``_KEYS`` gives every key its section, the kinds that read it, its type
+and its default.  ``parse_config`` reads each value by its type, rejects
+what the table does not allow with an error naming the line, and fills
+in the defaults, so ``build_graph`` and ``build_problem`` get complete,
+typed sections.
+
 Outputs are one CSV per (algorithm, seed) run with the fixed column
 order ``algorithm, seed, t, theta, comm_rounds, grad_evals, rel_err,
 psi``, a ``summary.csv`` with iterations/communication to tolerance and
@@ -33,6 +39,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,28 +83,79 @@ TRACE_COLUMNS = (
 # the one deterministic primal-dual engine baseline; every other kind skips
 _ENGINE_KIND = "puda_nids"
 
-# the keys each kind reads, per config section; a section's first kind is
-# its default, and "alg.<i>." prefixes the per-algorithm keys
-_KIND_KEYS = {
-    "graph": {
-        "ring": {"kind", "n"},
-        "random": {"kind", "n", "iota", "seed"},
-    },
-    "problem": {
-        "least_squares": {"kind", "d", "mu", "lsmooth", "kappa", "kappa_rule", "gamma2", "seed"},
-        "logistic": {"kind", "d", "samples_per_node", "gamma1", "gamma2", "seed"},
-        "libsvm": {"kind", "path", "gamma1", "gamma2", "seed"},
-    },
-    "alg": {
-        "mg_skip": {"kind", "alpha", "p", "K", "name"},
-        # skip1 always gossips once; the engine neither skips nor takes a round count
-        "skip1": {"kind", "alpha", "p", "name"},
-        _ENGINE_KIND: {"kind", "alpha", "name"},
-    },
-    # sections without a kind: one key set, under the kind ""
-    "run": {"": {"T", "tol", "seeds", "diagnostics"}},
-    "summary": {"": {"baseline"}},
-}
+
+def _typed(cast, expects: str, text: str):
+    """``text`` read by ``cast``; when that fails, the error says what was expected."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"expected {expects}, got {text!r}") from None
+
+
+def _choice(label: str, options: tuple[str, ...], text: str) -> str:
+    """``text`` when it is one of ``options``."""
+    if text not in options:
+        raise ValueError(f"unknown {label} {text!r}; expected {' or '.join(options)}")
+    return text
+
+
+def _distinct_ints(text: str) -> tuple[int, ...]:
+    values = tuple(int(token) for token in text.split(","))
+    if len(set(values)) < len(values):
+        raise ValueError("repeated value")
+    return values
+
+
+# the readers: each takes a value's text and returns its typed value
+_INT = partial(_typed, int, "an integer")  # int() takes integer literals only, not '1e4'
+_FLOAT = partial(_typed, float, "a number")
+_BOOL = partial(_typed, lambda text: bool(("false", "true").index(text)), "true or false")
+_SEEDS = partial(_typed, _distinct_ints, "distinct integers separated by commas")
+_GRAPH_KIND = partial(_choice, "graph kind", ("ring", "random"))
+_PROBLEM_KIND = partial(_choice, "problem kind", ("least_squares", "logistic", "libsvm"))
+_ALG_KIND = partial(_choice, "algorithm kind", ("mg_skip", "skip1", _ENGINE_KIND))
+_KAPPA_RULE = partial(_choice, "kappa rule", ("half_over_gap",))
+
+# Every config key: section ("alg" stands for each "alg.<i>"), the kinds that
+# read it (None: all), reader, and default (None: absent unless set; an absent
+# "alg.<i>" key takes AlgorithmSpec's field default).
+_KEYS = (
+    ("graph", "kind", None, _GRAPH_KIND, "ring"),
+    ("graph", "n", None, _INT, 15),
+    ("graph", "iota", ("random",), _FLOAT, 0.5),
+    ("graph", "seed", ("random",), _INT, 0),
+    ("problem", "kind", None, _PROBLEM_KIND, "least_squares"),
+    ("problem", "seed", None, _INT, 0),
+    ("problem", "d", ("least_squares",), _INT, 10),
+    ("problem", "mu", ("least_squares",), _FLOAT, 1.0),
+    ("problem", "lsmooth", ("least_squares",), _FLOAT, None),
+    ("problem", "kappa_rule", ("least_squares",), _KAPPA_RULE, None),
+    ("problem", "kappa", ("least_squares",), _FLOAT, 10.0),
+    ("problem", "gamma2", ("least_squares",), _FLOAT, 0.0),
+    ("problem", "d", ("logistic",), _INT, 22),
+    ("problem", "samples_per_node", ("logistic",), _INT, 100),
+    ("problem", "path", ("libsvm",), str, None),
+    ("problem", "gamma1", ("logistic", "libsvm"), _FLOAT, 0.01),
+    ("problem", "gamma2", ("logistic", "libsvm"), _FLOAT, 0.001),
+    ("alg", "kind", None, _ALG_KIND, "mg_skip"),
+    ("alg", "alpha", None, str, None),
+    ("alg", "name", None, str, None),
+    # skip1 always gossips once; the engine neither skips nor takes a round count
+    ("alg", "p", ("mg_skip", "skip1"), _FLOAT, None),
+    ("alg", "K", ("mg_skip",), str, None),
+    ("run", "T", None, _INT, 1000),
+    ("run", "tol", None, _FLOAT, 0.0),
+    ("run", "seeds", None, _SEEDS, (0,)),
+    ("run", "diagnostics", None, _BOOL, False),
+    ("summary", "baseline", None, str, ""),
+)
+
+_DEFAULT_KIND = {section: default for section, field, _, _, default in _KEYS if field == "kind"}
+# a least-squares problem takes its curvature from at most one of these;
+# kappa's default applies only when none is set
+_CURVATURE = ("lsmooth", "kappa_rule", "kappa")
+# the AlgorithmSpec field each "alg.<i>" key sets, where the names differ
+_ALG_FIELDS = {"alpha": "alpha_rule", "K": "k_rule"}
 
 
 @dataclass(frozen=True)
@@ -111,8 +169,7 @@ class AlgorithmSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_KEYS["alg"]:
-            raise ValueError(f"unknown algorithm kind {self.kind!r}")
+        _ALG_KIND(self.kind)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         # resolving checks both rules, so a bad one fails with the config
@@ -162,8 +219,8 @@ class ExperimentSpec:
     T: int
     tol: float
     seeds: tuple[int, ...]
-    diagnostics: bool = False
-    baseline: str = ""
+    diagnostics: bool
+    baseline: str
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -177,25 +234,13 @@ class ExperimentSpec:
             raise ValueError(f"baseline {self.baseline!r} is not an algorithm name")
 
 
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
-
-
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
-    """Parse flat dotted ``key = value`` text into an experiment spec."""
-    table: dict[str, str] = {}
-    linenos: dict[str, int] = {}
+    """Parse flat dotted ``key = value`` text into an experiment spec.
+
+    A malformed line, an unknown key or kind, a key its kind does not read
+    and an ill-typed value are each a ``ValueError`` naming its config line.
+    """
+    given: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,140 +250,91 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ValueError(f"config line {lineno}: empty key or value")
-        if key in table:
+        if key in given:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        table[key] = value
-        linenos[key] = lineno
-    # after the whole text, so a duplicate key is reported before an unknown one
-    for key, lineno in linenos.items():
-        error = _key_error(key, table)
-        if error:
-            raise ValueError(f"config line {lineno}: {error}")
+        given[key] = (lineno, value)
 
-    def section(prefix: str) -> dict:
-        out = {}
-        for key, value in table.items():
-            if key.startswith(prefix + "."):
-                out[key[len(prefix) + 1 :]] = _coerce(value)
-        return out
+    # after the whole text, so a duplicate key is reported first; kinds before
+    # the other keys, so each key is checked against its section's kind
+    scopes: dict[str, dict] = {"graph": {}, "problem": {}, "run": {}, "summary": {}}
+    for key in sorted(given, key=lambda key: not key.endswith(".kind")):
+        lineno, value = given[key]
+        section, _, field = key.partition(".")
+        scope = section
+        if section == "alg":
+            aid, _, field = field.partition(".")
+            scope = f"alg.{aid}" if aid.isdigit() else ""
+        rows = [row for row in _KEYS if scope and row[:2] == (section, field)]
+        if not rows:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values = scopes.setdefault(scope, {})
+        kind = values.get("kind", _DEFAULT_KIND.get(section))
+        readers = [row[3] for row in rows if row[2] is None or kind in row[2]]
+        if not readers:
+            raise ValueError(f"config line {lineno}: key {key!r} does not apply to kind {kind!r}")
+        try:
+            values[field] = readers[0](value)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {key}: {err}") from None
 
-    problem = section("problem")
-    graph = section("graph")
-    run = section("run")
-    summary = section("summary")
+    problem = scopes["problem"]
+    curvature = [key for key in _CURVATURE if key in problem]
+    if len(curvature) > 1:
+        lineno = max(given[f"problem.{key}"][0] for key in curvature)
+        listed = ", ".join(f"problem.{key}" for key in curvature)
+        raise ValueError(f"config line {lineno}: set only one of {listed}")
+    keep_unset = _CURVATURE if curvature else ()
+    for scope, values in scopes.items():
+        # a section's kind row comes first, so its kind is set before the rows it selects
+        for section, field, kinds, _, default in _KEYS:
+            if section != scope.partition(".")[0] or default is None or field in keep_unset:
+                continue
+            if kinds is None or values["kind"] in kinds:
+                values.setdefault(field, default)
 
-    if problem.get("kind") == "libsvm":
-        path = Path(str(problem.get("path", "")))
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
+    if problem["kind"] == "libsvm":
+        # relative to the config's directory; joining keeps an absolute path as it is
+        path = (base_dir or Path()) / problem.get("path", "")
+        if not path.is_file():
             raise FileNotFoundError(f"libsvm file not found: {path}")
         problem["path"] = str(path)
 
-    alg_ids = sorted(
-        {key.split(".")[1] for key in table if key.startswith("alg.")}, key=int
+    alg_scopes = sorted((s for s in scopes if s.startswith("alg.")), key=lambda s: int(s[4:]))
+    algorithms = tuple(
+        AlgorithmSpec(**{_ALG_FIELDS.get(key, key): value for key, value in scopes[s].items()})
+        for s in alg_scopes
     )
-    algorithms = []
-    for aid in alg_ids:
-        entry = section(f"alg.{aid}")
-        algorithms.append(
-            AlgorithmSpec(
-                kind=str(entry.get("kind", "mg_skip")),
-                alpha_rule=str(entry.get("alpha", "one_over_5L")),
-                p=float(entry.get("p", 1.0)),
-                k_rule=str(entry.get("K", "default")),
-                name=str(entry.get("name", "")),
-            )
-        )
-
-    seeds_raw = run.get("seeds", "0")
-    if isinstance(seeds_raw, int):
-        seeds = (seeds_raw,)
-    else:
-        seeds = tuple(int(s) for s in str(seeds_raw).split(",") if s.strip())
-
+    run, summary = scopes["run"], scopes["summary"]
     return ExperimentSpec(
-        problem=problem,
-        graph=graph,
-        algorithms=tuple(algorithms),
-        T=int(run.get("T", 1000)),
-        tol=float(run.get("tol", 0.0)),
-        seeds=seeds,
-        diagnostics=bool(run.get("diagnostics", False)),
-        baseline=str(summary.get("baseline", "")),
+        problem=problem, graph=scopes["graph"], algorithms=algorithms, **run, **summary
     )
-
-
-def _key_error(key: str, table: dict[str, str]) -> str | None:
-    """Why ``key`` is rejected, or None when its section and kind read it."""
-    section, _, field = key.partition(".")
-    scope = section
-    if section == "alg":
-        aid, _, field = field.partition(".")
-        if not aid.isdigit():
-            return f"unknown key {key!r}"
-        scope = f"alg.{aid}"
-    kinds = _KIND_KEYS.get(section, {})
-    if not any(field in keys for keys in kinds.values()):
-        return f"unknown key {key!r}"
-    kind = table.get(f"{scope}.kind", next(iter(kinds)))
-    # an unknown kind is reported where it is built
-    if kind in kinds and field not in kinds[kind]:
-        return f"key {key!r} does not apply to kind {kind!r}"
-    return None
 
 
 def build_graph(spec: ExperimentSpec) -> Graph:
-    kind = spec.graph.get("kind", "ring")
-    n = int(spec.graph.get("n", 15))
-    if kind == "ring":
-        return build_ring(n)
-    if kind == "random":
-        return build_random_connectivity(
-            n, float(spec.graph.get("iota", 0.5)), int(spec.graph.get("seed", 0))
-        )
-    raise ValueError(f"unknown graph kind {kind!r}")
+    graph = spec.graph
+    if graph["kind"] == "ring":
+        return build_ring(graph["n"])
+    return build_random_connectivity(graph["n"], graph["iota"], graph["seed"])
 
 
 def build_problem(spec: ExperimentSpec, mixing: MixingMatrix) -> ProblemInstance:
-    kind = spec.problem.get("kind", "least_squares")
-    n = mixing.n
-    seed = int(spec.problem.get("seed", 0))
-    if kind == "least_squares":
-        d = int(spec.problem.get("d", 10))
-        mu = float(spec.problem.get("mu", 1.0))
-        curvature = [key for key in ("lsmooth", "kappa_rule", "kappa") if key in spec.problem]
-        if len(curvature) > 1:
-            raise ValueError(f"set only one of {', '.join('problem.' + k for k in curvature)}")
-        if "lsmooth" in spec.problem:
-            lsmooth = float(spec.problem["lsmooth"])
-        elif "kappa_rule" in spec.problem:
-            rule = spec.problem["kappa_rule"]
-            if rule != "half_over_gap":
-                raise ValueError(f"unknown kappa rule {rule!r}; expected 'half_over_gap'")
+    problem = spec.problem
+    if problem["kind"] == "least_squares":
+        mu = problem["mu"]
+        if "lsmooth" in problem:
+            lsmooth = problem["lsmooth"]
+        elif "kappa_rule" in problem:
+            # half_over_gap, the one kappa rule
             lsmooth = mu * 0.5 / (1.0 - mixing.rho)
         else:
-            lsmooth = mu * float(spec.problem.get("kappa", 10.0))
-        gamma2 = float(spec.problem.get("gamma2", 0.0))
-        reg = L1Reg(weight=gamma2) if gamma2 > 0.0 else None
-        return gen_least_squares(n, d, mu, lsmooth, seed, reg=reg)
-    if kind == "logistic":
-        return gen_logistic(
-            n,
-            int(spec.problem.get("d", 22)),
-            int(spec.problem.get("samples_per_node", 100)),
-            float(spec.problem.get("gamma1", 0.01)),
-            float(spec.problem.get("gamma2", 0.001)),
-            seed,
-        )
-    if kind == "libsvm":
-        parts = load_libsvm(str(spec.problem["path"]), n, seed)
-        return logistic_from_parts(
-            parts,
-            float(spec.problem.get("gamma1", 0.01)),
-            float(spec.problem.get("gamma2", 0.001)),
-        )
-    raise ValueError(f"unknown problem kind {kind!r}")
+            lsmooth = mu * problem["kappa"]
+        reg = L1Reg(weight=problem["gamma2"]) if problem["gamma2"] > 0.0 else None
+        return gen_least_squares(mixing.n, problem["d"], mu, lsmooth, problem["seed"], reg=reg)
+    gamma1, gamma2, seed = problem["gamma1"], problem["gamma2"], problem["seed"]
+    if problem["kind"] == "logistic":
+        samples = problem["samples_per_node"]
+        return gen_logistic(mixing.n, problem["d"], samples, gamma1, gamma2, seed)
+    return logistic_from_parts(load_libsvm(problem["path"], mixing.n, seed), gamma1, gamma2)
 
 
 def build_gossip(alg: AlgorithmSpec, mixing: MixingMatrix) -> MultiGossipOperator:

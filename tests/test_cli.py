@@ -116,6 +116,10 @@ class TestRun:
              "unknown alpha rule 'one_over_2L'"),
             (("alg.0.p = 0.5", "alg.0.p = 0.5\nalg.0.K = twice"), "unknown K rule 'twice'"),
             (("alg.0.p = 0.5", "alg.0.p = 0.5\nalg.0.K = fixed:0"), "unknown K rule 'fixed:0'"),
+            (("graph.kind = random", "graph.kind = torus"), "unknown graph kind 'torus'"),
+            (("problem.d = 4", "problem.d = ten"), "problem.d: expected an integer, got 'ten'"),
+            (("run.seeds = 0", "run.seeds = 0\nrun.diagnostics = no"),
+             "run.diagnostics: expected true or false, got 'no'"),
         ],
     )
     def test_config_error_exit_2(self, tmp_path, capsys, edit, message):
@@ -187,6 +191,18 @@ class TestSweep:
             "puda_nids",
         ]
         assert [f.name for f in out_dir.glob("puda_nids*.csv")] == ["puda_nids__seed0.csv"]
+
+    @pytest.mark.parametrize("grid", ["abc", "0", "1.5"])
+    def test_bad_p_exit_2(self, tmp_path, capsys, grid):
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG)
+        out_dir = tmp_path / "o"
+        code = main(["sweep", "--config", str(config), "--out", str(out_dir), "--p", grid])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --p '{grid}': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_empty_grid(self, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from gossipskip import (
     AlgorithmSpec,
     RunConfig,
+    metropolis_weights,
     mg_skip_run,
     parse_config,
     run_experiment,
@@ -27,6 +31,20 @@ from gossipskip.harness import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_workloads():
+    """``bench/workloads.py``'s workloads, loaded by path as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _loss_arrays(problem):
+    return [v for loss in problem.losses for v in vars(loss).values() if isinstance(v, np.ndarray)]
 
 BASE_CONFIG = """
 # ring benchmark, two skipping variants
@@ -179,6 +197,83 @@ class TestParseConfig:
             assert build_problem(spec, ring15_mixing).kappa == pytest.approx(
                 0.5 / (1.0 - ring15_mixing.rho)
             )
+        # the benchmark's configs too, so a parser that rejects one fails here
+        for workload in _bench_workloads().values():
+            for seed in (0, 1):
+                spec = parse_config(workload.config_text(seed))
+                assert spec.seeds == workload.seeds(seed)
+                build_problem(spec, metropolis_weights(build_graph(spec)))
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("graph.n = 15", "graph.n = 15.9", "graph.n"),
+            ("graph.n = 15", "graph.n = abc", "graph.n"),
+            ("problem.d = 10", "problem.d = ten", "problem.d"),
+            ("run.T = 10", "run.T = 2.5", "run.T"),
+            ("run.diagnostics = false", "run.diagnostics = no", "run.diagnostics"),
+            ("graph.kind = ring", "graph.kind = torus", "graph.kind"),
+            ("problem.kind = least_squares", "problem.kind = nope", "problem.kind"),
+            ("= half_over_gap", "= half_over_gapp", "problem.kappa_rule"),
+            (
+                "problem.kappa_rule = half_over_gap",
+                "problem.kappa = 3\nproblem.lsmooth = 4.0",
+                "problem.lsmooth",
+            ),
+            ("run.seeds = 0", "run.seeds = 0,0", "run.seeds"),
+        ],
+        ids=[
+            "n-float",
+            "n-text",
+            "d-text",
+            "T-float",
+            "diagnostics-no",
+            "graph-kind",
+            "problem-kind",
+            "kappa-rule",
+            "two-curvature-keys",
+            "repeated-seeds",
+        ],
+    )
+    def test_bad_value_names_line_and_key(self, old, new, key):
+        text = BASE_CONFIG.replace(old, new)
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key + " ="))
+        with pytest.raises(ValueError, match=rf"config line {lineno}: .*{re.escape(key)}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                "alg.0.kind = mg_skip\n",
+                {"kind": "least_squares", "d": 10, "mu": 1.0, "kappa": 10.0, "gamma2": 0.0,
+                 "seed": 0},
+            ),
+            (
+                "problem.kind = logistic\nalg.0.kind = mg_skip\n",
+                {"kind": "logistic", "d": 22, "samples_per_node": 100, "gamma1": 0.01,
+                 "gamma2": 0.001, "seed": 0},
+            ),
+        ],
+        ids=["least_squares", "logistic"],
+    )
+    def test_defaults_complete_the_sections(self, ring15_mixing, text, problem):
+        spec = parse_config(text)
+        assert spec.graph == {"kind": "ring", "n": 15}
+        assert spec.problem == problem
+        assert (spec.T, spec.tol, spec.seeds, spec.diagnostics) == (1000, 0.0, (0,), False)
+        explicit = parse_config(
+            "graph.kind = ring\ngraph.n = 15\n"
+            + "".join(f"problem.{key} = {value}\n" for key, value in problem.items())
+            + "run.T = 1000\nrun.tol = 0.0\nrun.seeds = 0\nrun.diagnostics = false\n"
+            "alg.0.kind = mg_skip\n"
+        )
+        assert explicit.problem == spec.problem
+        built = [build_problem(s, ring15_mixing) for s in (spec, explicit)]
+        arrays = [_loss_arrays(p) for p in built]
+        assert len(arrays[0]) == len(arrays[1]) >= 2 * ring15_mixing.n
+        assert all(np.array_equal(a, b) for a, b in zip(*arrays))
+        assert built[0].reg.weight == built[1].reg.weight
 
     def test_missing_libsvm_file(self):
         text = "problem.kind = libsvm\nproblem.path = nope.txt\nalg.0.kind = mg_skip\nrun.seeds = 0"
