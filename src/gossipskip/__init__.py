@@ -62,7 +62,4 @@ from .topology import (
     build_random_connectivity,
     build_ring,
     metropolis_weights,
-    read_edge_list,
-    write_edge_list,
-    write_mixing_csv,
 )

@@ -13,7 +13,8 @@ triggers one multi-gossip exchange:
 Skipped iterations (``theta = 0``) move no bytes.  The diagnostics
 implement the matching fixed-point residual, the Lyapunov value
 ``psi = ||X-X*||^2 + (alpha/p)^2 ||U-U*||^2`` with ``U`` reconstructed
-from ``Y`` through the pseudo-inverse of ``sqrt((I-Mbar)/2)``, and the
+from ``Y`` through the pseudo-inverse of ``S = sqrt((I-Mbar)/2)``, taken
+mode by mode in the eigenbasis of ``W``, and the
 exact one-step conditional-expectation contraction check against
 ``zeta = max{(1-alpha*mu)^2, (1-alpha*L)^2, 1-p^2/5}``.
 
@@ -27,6 +28,7 @@ at ``p = 1`` exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -283,9 +285,11 @@ def fixed_point_residual(
     ``Z = X - alpha * gbar(x)`` and the gradient-residual dual, then
     returns the max of three Frobenius residuals: the primal
     reconstruction (including representability of ``Y*`` in the range
-    of the gossip square root), ``||S Z||``, and
-    ``||X - prox_{alpha R}(Z)||``.  At the true minimizer all three
-    vanish to solver precision.
+    of the gossip square root ``S = sqrt((I - Mbar)/2)``), ``||S Z||``,
+    and ``||X - prox_{alpha R}(Z)||``.  Both ``S`` terms are taken in the
+    eigenbasis ``(h, V)`` of ``(I - Mbar)/2``: ``S S^+`` projects onto the
+    modes with ``h > 0``, and ``||S Z||^2`` weighs each mode's squared norm
+    by ``h``.  At the true minimizer all three vanish to solver precision.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -296,12 +300,12 @@ def fixed_point_residual(
     gbar = grads.mean(axis=0)
     z_stack = x_stack - alpha * np.tile(gbar, (n, 1))
     y_stack = gbar - grads
-    s = gossip.sqrt_half_gap()
-    s_pinv = gossip.sqrt_half_gap_pinv()
+    h, vecs = gossip.half_gap_eigh
+    in_range = vecs[:, h > 0.0]
     # reconstruction residual: Z - (X - alpha*grad - alpha*S S^+ Y)
-    recon = z_stack - (x_stack - alpha * grads - alpha * (s @ (s_pinv @ y_stack)))
+    recon = z_stack - (x_stack - alpha * grads - alpha * (in_range @ (in_range.T @ y_stack)))
     r1 = float(np.linalg.norm(recon))
-    r2 = float(np.linalg.norm(s @ z_stack))
+    r2 = math.sqrt(float(h @ _mode_norms(vecs, z_stack)))
     r3 = float(np.linalg.norm(x_stack - problem.prox_stack(alpha, z_stack)))
     return max(r1, r2, r3)
 
@@ -315,23 +319,31 @@ def lyapunov(
 ) -> float:
     """``||X - X*||_F^2 + (alpha/p)^2 ||U - U*||_F^2``.
 
-    ``U - U*`` is reconstructed as ``S^+ (Y - Y*)``; a component of
-    ``Y - Y*`` outside the range of ``S`` beyond 1e-8 signals a broken
+    ``U - U*`` is reconstructed as ``S^+ (Y - Y*)``, ``S = sqrt((I - Mbar)/2)``.
+    In the eigenbasis ``(h, V)`` of ``(I - Mbar)/2`` its squared norm is
+    the sum over the modes with ``h > 0`` of each mode's squared norm of
+    ``V^T (Y - Y*)`` divided by ``h``.  A component of ``Y - Y*`` on the
+    null modes, outside the range of ``S``, beyond 1e-8 signals a broken
     dual update and raises.
     """
-    s = gossip.sqrt_half_gap()
-    s_pinv = gossip.sqrt_half_gap_pinv()
-    dy = state.y - ystar
-    du = s_pinv @ dy
-    out_of_range = float(np.linalg.norm(dy - s @ du))
+    h, vecs = gossip.half_gap_eigh
+    modes = _mode_norms(vecs, state.y - ystar)
+    null = h == 0.0
+    out_of_range = math.sqrt(float(modes[null].sum()))
     if out_of_range > 1e-8:
         raise RuntimeError(
             f"dual iterate leaves the gossip range (residual {out_of_range:.3e})"
         )
     dx = state.x - xstar_stack
     return float(dx.ravel() @ dx.ravel()) + (cfg.alpha / cfg.p) ** 2 * float(
-        du.ravel() @ du.ravel()
+        modes[~null] @ (1.0 / h[~null])
     )
+
+
+def _mode_norms(vecs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``V^T states``: the states' weight on each mode."""
+    coef = vecs.T @ states
+    return np.einsum("ij,ij->i", coef, coef)
 
 
 def contraction_factor(alpha: float, p: float, mu: float, lsmooth: float) -> float:

@@ -99,10 +99,12 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
 
     rng = np.random.default_rng(0)
     worst = 0.0
-    eye_minus = np.eye(gossip.n) - gossip.mbar
+    # the eigen form V diag(2h) V^T of I - Mbar shares no code with the recursion
+    h, vecs = gossip.half_gap_eigh
     for _ in range(5):
         z = rng.standard_normal((gossip.n, problem.dim))
-        worst = max(worst, float(np.abs(gossip.fast_goss(z) - eye_minus @ z).max()))
+        dense = vecs @ (2.0 * h[:, None] * (vecs.T @ z))
+        worst = max(worst, float(np.abs(gossip.fast_goss(z) - dense).max()))
     checks.append(("fast_goss == dense (I-Mbar)Z", f"max dev {worst:.1e}", worst <= 1e-10))
 
     first = spec.algorithms[0]

@@ -12,20 +12,25 @@ exchanges, ``K`` rounds per invocation.  Each round applies ``W`` either
 as a dense product or, on large sparse graphs, by gathering every node's
 neighbor rows from a padded table (see :attr:`MultiGossipOperator.kernel`).
 
-Diagnostics materialize ``Mbar`` densely and report the measured
-contraction radius and the smallest nonzero eigenvalue of
-``I - Mbar`` next to the classical ``sqrt(2) (1 - sqrt(1-rho))^K``
-envelope.  The envelope is not a sound spectral-radius bound at the
-prescribed round count (the recursion is critically damped at the edge
-eigenvalues, which adds a polynomial-in-K factor), so callers must
-consult the report flags rather than assume it.
+``Mbar`` is a polynomial in ``W``: it has ``W``'s eigenvectors, and each
+eigenvalue ``lam`` of ``W`` maps to ``p_K(lam)``, the recursion run on
+scalars.  The diagnostics use that map instead of a dense ``Mbar``:
+:func:`verify_prop1` reads the measured contraction radius and the
+smallest nonzero eigenvalue of ``I - Mbar`` off
+:attr:`MultiGossipOperator.spectrum` and reports them next to the
+classical ``sqrt(2) (1 - sqrt(1-rho))^K`` envelope, and the Lyapunov and
+fixed-point diagnostics work in the eigenbasis
+:attr:`MultiGossipOperator.half_gap_eigh`.  The envelope is not a sound
+spectral-radius bound at the prescribed round count (the recursion is
+critically damped at the edge eigenvalues, which adds a polynomial-in-K
+factor), so callers must consult the report flags rather than assume it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,8 +44,9 @@ __all__ = [
     "verify_prop1",
 ]
 
-# Eigenvalues of (I - Mbar)/2 below this are treated as the consensus
-# nullspace when building square roots and pseudo-inverses.
+# Eigenvalues of (I - Mbar)/2 at or below this are flushed to exactly 0.  The
+# consensus mode's value 1 - p_K(1) is rounding noise, and the Lyapunov and
+# fixed-point diagnostics must give that mode no weight at all.
 _NULL_TOL = 1e-9
 
 # The neighbor gather applies W when n >= this many times the widest row's
@@ -79,15 +85,14 @@ def default_K(rho: float) -> int:
 class MultiGossipOperator:
     """The multi-round operator, distributed and dense views.
 
-    Immutable after construction; the dense ``Mbar`` and its
-    eigendecomposition are materialized lazily (diagnostics only) and
-    cached.  ``fast_goss`` is pure and safe to call concurrently.
+    Immutable after construction; the kernel applying ``W``, the dense
+    ``Mbar`` and the eigenpairs of ``(I - Mbar)/2`` are built on first use
+    and cached.  ``fast_goss`` is pure and safe to call concurrently.
     """
 
     mixing: MixingMatrix
     K: int
     eta: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -113,37 +118,52 @@ class MultiGossipOperator:
         when ``n`` is at least ``_GATHER_MIN_NODES_PER_SLOT`` (70) times
         ``width``, the largest number of nonzeros in a row of ``W``.
         """
-        return "neighbour" if isinstance(self._apply_w(), _NeighbourTable) else "dense"
+        return "neighbour" if isinstance(self._apply_w, _NeighbourTable) else "dense"
 
+    @cached_property
     def _apply_w(self):
-        """The callable applying ``W`` to a state array, chosen and built once."""
-        if "apply_w" not in self._cache:
-            w = self.mixing.w
-            width = int(np.count_nonzero(w, axis=1).max())
-            sparse = self.n >= _GATHER_MIN_NODES_PER_SLOT * width
-            self._cache["apply_w"] = _NeighbourTable(w) if sparse else partial(np.matmul, w)
-        return self._cache["apply_w"]
+        """The callable applying ``W`` to a state array."""
+        w = self.mixing.w
+        width = int(np.count_nonzero(w, axis=1).max())
+        sparse = self.n >= _GATHER_MIN_NODES_PER_SLOT * width
+        return _NeighbourTable(w) if sparse else partial(np.matmul, w)
 
-    @property
+    @cached_property
     def mbar(self) -> np.ndarray:
         """Dense ``M_K``: the recursion of :meth:`fast_goss` applied to ``I``."""
-        if "mbar" not in self._cache:
-            eye = np.eye(self.n)
-            m = np.hstack(
-                [
-                    _chebyshev(self._apply_w(), eye[:, j : j + _MBAR_BLOCK], self.K, self.eta)
-                    for j in range(0, self.n, _MBAR_BLOCK)
-                ]
-            )
-            m.setflags(write=False)
-            self._cache["mbar"] = m
-        return self._cache["mbar"]
+        eye = np.eye(self.n)
+        m = np.hstack(
+            [
+                _chebyshev(self._apply_w, eye[:, j : j + _MBAR_BLOCK], self.K, self.eta)
+                for j in range(0, self.n, _MBAR_BLOCK)
+            ]
+        )
+        m.setflags(write=False)
+        return m
+
+    def _on_eigenvalues(self, lam: np.ndarray) -> np.ndarray:
+        """``p_K(lam)``: the recursion run on each eigenvalue ``lam`` of ``W``."""
+        return _chebyshev(partial(np.multiply, lam), np.ones_like(lam), self.K, self.eta)
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of ``Mbar``, ascending: the recursion run on each eigenvalue of ``W``."""
-        lam = self.mixing.eigenvalues
-        return np.sort(_chebyshev(partial(np.multiply, lam), np.ones_like(lam), self.K, self.eta))
+        """Eigenvalues of ``Mbar``, ascending, from those of ``W``; ``O(nK)``."""
+        return np.sort(self._on_eigenvalues(self.mixing.eigenvalues))
+
+    @cached_property
+    def half_gap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs ``(h, V)`` of ``(I - Mbar)/2``: ``(I - Mbar)/2 = V diag(h) V^T``.
+
+        ``V`` holds the orthonormal eigenvectors of ``W``, and the eigenvalue
+        ``lam`` of ``W`` maps to ``h = (1 - p_K(lam))/2``.  The consensus
+        eigenvalue is exactly 0.  Read-only.
+        """
+        lam, vecs = np.linalg.eigh(self.mixing.w)
+        h = 0.5 * (1.0 - self._on_eigenvalues(lam))
+        h[h <= _NULL_TOL] = 0.0
+        h.setflags(write=False)
+        vecs.setflags(write=False)
+        return h, vecs
 
     def fast_goss(self, states: np.ndarray) -> np.ndarray:
         """Distributed evaluation of ``(I - Mbar) @ states``.
@@ -158,38 +178,7 @@ class MultiGossipOperator:
             raise ValueError(
                 f"states has {states.shape[0]} rows, expected {self.n}"
             )
-        return states - _chebyshev(self._apply_w(), states, self.K, self.eta)
-
-    def _half_gap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of ``(I - Mbar)/2``, nullspace noise flushed to 0."""
-        if "half_eigh" not in self._cache:
-            half = 0.5 * (np.eye(self.n) - self.mbar)
-            half = 0.5 * (half + half.T)
-            vals, vecs = np.linalg.eigh(half)
-            # the consensus direction carries an exact zero; flushing the
-            # numerical noise there keeps sqrt/pinv exact on the nullspace
-            vals = np.where(vals > _NULL_TOL, vals, 0.0)
-            self._cache["half_eigh"] = (vals, vecs)
-        return self._cache["half_eigh"]
-
-    def sqrt_half_gap(self) -> np.ndarray:
-        """Symmetric PSD square root of ``(I - Mbar)/2``."""
-        if "sqrt" not in self._cache:
-            vals, vecs = self._half_gap_eigh()
-            s = (vecs * np.sqrt(vals)) @ vecs.T
-            s.setflags(write=False)
-            self._cache["sqrt"] = s
-        return self._cache["sqrt"]
-
-    def sqrt_half_gap_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of :meth:`sqrt_half_gap`, restricted to its range."""
-        if "sqrt_pinv" not in self._cache:
-            vals, vecs = self._half_gap_eigh()
-            inv = np.where(vals > 0.0, 1.0 / np.sqrt(np.maximum(vals, _NULL_TOL)), 0.0)
-            s = (vecs * inv) @ vecs.T
-            s.setflags(write=False)
-            self._cache["sqrt_pinv"] = s
-        return self._cache["sqrt_pinv"]
+        return states - _chebyshev(self._apply_w, states, self.K, self.eta)
 
 
 class _NeighbourTable:
@@ -260,27 +249,27 @@ class Prop1Report:
 def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
     """Check the multi-round operator against its claimed spectral envelopes.
 
-    Reports (never raises): symmetry and double stochasticity of
-    ``Mbar``; the measured radius ``max|eig(Mbar - 11^T/n)|`` against
+    Reports (never raises): symmetry and double stochasticity of the
+    dense ``Mbar``; the measured radius ``max|eig(Mbar - 11^T/n)|`` against
     ``sqrt(2) (1 - sqrt(1-rho))^K + 1e-9``; and the smallest nonzero
-    eigenvalue of ``I - Mbar`` against ``2/5``.  The two envelope flags
+    eigenvalue of ``I - Mbar`` against ``2/5``.  Both eigenvalue
+    quantities come from :attr:`MultiGossipOperator.spectrum`, the source
+    the primal-dual engine checks.  The two envelope flags
     are only meaningful guarantees at ``K = default_K(rho)``, and even
     there the envelopes can fail (see module docstring); downstream
     code gates on the measured ``sigma_min``.
     """
     mbar = op.mbar
-    n = op.n
     rho = op.mixing.rho
     symmetric = bool(np.abs(mbar - mbar.T).max() <= 1e-12)
     doubly_stochastic = bool(np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-9)
-    centered = mbar - np.ones((n, n)) / n
-    radius = float(np.abs(np.linalg.eigvalsh(0.5 * (centered + centered.T))).max())
+    # ascending; the largest is the consensus eigenvalue 1, which centring removes
+    off = op.spectrum[:-1]
+    radius = float(np.abs(off).max(initial=0.0))
     radius_bound = math.sqrt(2.0) * (1.0 - math.sqrt(1.0 - rho)) ** op.K
-    gap_eigs = np.linalg.eigvalsh(np.eye(n) - 0.5 * (mbar + mbar.T))
-    nonzero = gap_eigs[gap_eigs > _NULL_TOL]
     # n == 1 has no nonzero eigenvalues at all; the check is vacuous then
-    sigma_min = float(nonzero.min()) if nonzero.size else float("nan")
-    sigma_min_ok = bool(nonzero.size == 0 or sigma_min >= 0.4)
+    sigma_min = float((1.0 - off).min()) if off.size else float("nan")
+    sigma_min_ok = bool(off.size == 0 or sigma_min >= 0.4)
     return Prop1Report(
         rho=rho,
         K=op.K,

@@ -99,6 +99,25 @@ def _choice(label: str, options: tuple[str, ...], text: str) -> str:
     return text
 
 
+def _rule(label: str, names: tuple[str, ...], fixed: str, valid, text: str) -> str:
+    """``text`` when it is one of ``names`` or ``fixed:<value>`` with ``valid(value)`` true."""
+    prefix, _, value = text.partition(":")
+    try:
+        ok = text in names or (prefix == "fixed" and valid(value))
+    except ValueError:
+        ok = False
+    if not ok:
+        expects = f"{', '.join(names)} or fixed:<{fixed}>"
+        raise ValueError(f"unknown {label} rule {text!r}; expected {expects}")
+    return text
+
+
+def _probability(p: float) -> float:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    return p
+
+
 def _distinct_ints(text: str) -> tuple[int, ...]:
     values = tuple(int(token) for token in text.split(","))
     if len(set(values)) < len(values):
@@ -115,6 +134,11 @@ _GRAPH_KIND = partial(_choice, "graph kind", ("ring", "random"))
 _PROBLEM_KIND = partial(_choice, "problem kind", ("least_squares", "logistic", "libsvm"))
 _ALG_KIND = partial(_choice, "algorithm kind", ("mg_skip", "skip1", _ENGINE_KIND))
 _KAPPA_RULE = partial(_choice, "kappa rule", ("half_over_gap",))
+_P = partial(_typed, lambda text: _probability(float(text)), "a number in (0, 1]")
+_ALPHA_RULE = partial(
+    _rule, "alpha", ("one_over_5L", "one_over_L"), "float > 0", lambda v: 0.0 < float(v) < math.inf
+)
+_K_RULE = partial(_rule, "K", ("default",), "int >= 1", lambda v: int(v) >= 1)
 
 # Every config key: section ("alg" stands for each "alg.<i>"), the kinds that
 # read it (None: all), reader, and default (None: absent unless set; an absent
@@ -138,11 +162,11 @@ _KEYS = (
     ("problem", "gamma1", ("logistic", "libsvm"), _FLOAT, 0.01),
     ("problem", "gamma2", ("logistic", "libsvm"), _FLOAT, 0.001),
     ("alg", "kind", None, _ALG_KIND, "mg_skip"),
-    ("alg", "alpha", None, str, None),
+    ("alg", "alpha", None, _ALPHA_RULE, None),
     ("alg", "name", None, str, None),
     # skip1 always gossips once; the engine neither skips nor takes a round count
-    ("alg", "p", ("mg_skip", "skip1"), _FLOAT, None),
-    ("alg", "K", ("mg_skip",), str, None),
+    ("alg", "p", ("mg_skip", "skip1"), _P, None),
+    ("alg", "K", ("mg_skip",), _K_RULE, None),
     ("run", "T", None, _INT, 1000),
     ("run", "tol", None, _FLOAT, 0.0),
     ("run", "seeds", None, _SEEDS, (0,)),
@@ -169,12 +193,11 @@ class AlgorithmSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # the config readers, so a spec built in code is checked as a config row is
         _ALG_KIND(self.kind)
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
-        # resolving checks both rules, so a bad one fails with the config
-        self.resolve_alpha(1.0)
-        self.resolve_K(0.0)
+        _probability(self.p)
+        _ALPHA_RULE(self.alpha_rule)
+        _K_RULE(self.k_rule)
         if not self.name:
             label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"
             object.__setattr__(self, "name", label)
@@ -184,29 +207,12 @@ class AlgorithmSpec:
             return 1.0 / (5.0 * lsmooth)
         if self.alpha_rule == "one_over_L":
             return 1.0 / lsmooth
-        alpha = _fixed(self.alpha_rule, float)
-        if not 0.0 < alpha < math.inf:
-            expected = "one_over_5L, one_over_L or fixed:<float > 0>"
-            raise ValueError(f"unknown alpha rule {self.alpha_rule!r}; expected {expected}")
-        return alpha
+        return float(self.alpha_rule.removeprefix("fixed:"))
 
     def resolve_K(self, rho: float) -> int:
         if self.k_rule == "default":
             return default_K(rho)
-        k = _fixed(self.k_rule, int)
-        if k < 1:
-            expected = "default or fixed:<int >= 1>"
-            raise ValueError(f"unknown K rule {self.k_rule!r}; expected {expected}")
-        return k
-
-
-def _fixed(rule: str, cast):
-    """The value of a ``fixed:<value>`` rule read by ``cast``, else 0, which no rule accepts."""
-    prefix, _, text = rule.partition(":")
-    try:
-        return cast(text) if prefix == "fixed" else 0
-    except ValueError:
-        return 0
+        return int(self.k_rule.removeprefix("fixed:"))
 
 
 @dataclass(frozen=True)
@@ -227,18 +233,14 @@ class ExperimentSpec:
             raise ValueError("seed list must be non-empty")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate algorithm names: {names}")
-        if self.baseline and self.baseline not in names:
-            raise ValueError(f"baseline {self.baseline!r} is not an algorithm name")
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     """Parse flat dotted ``key = value`` text into an experiment spec.
 
-    A malformed line, an unknown key or kind, a key its kind does not read
-    and an ill-typed value are each a ``ValueError`` naming its config line.
+    A malformed line, an unknown key or kind, a key its kind does not read,
+    an ill-typed value, a repeated algorithm name and an unknown baseline
+    are each a ``ValueError`` naming its config line.
     """
     given: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -304,7 +306,24 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         AlgorithmSpec(**{_ALG_FIELDS.get(key, key): value for key, value in scopes[s].items()})
         for s in alg_scopes
     )
+    rows: dict[str, str] = {}
+    for scope, alg in zip(alg_scopes, algorithms):
+        if alg.name in rows:
+            # the key that set the name, else the kind it was generated from
+            first = min((key for key in given if key.startswith(scope + ".")), key=given.get)
+            key = next((k for k in (f"{scope}.name", f"{scope}.kind") if k in given), first)
+            raise ValueError(
+                f"config line {given[key][0]}: {key}: duplicate algorithm names: "
+                f"{alg.name!r} is also {rows[alg.name]}'s name"
+            )
+        rows[alg.name] = scope
     run, summary = scopes["run"], scopes["summary"]
+    if summary["baseline"] and summary["baseline"] not in rows:
+        lineno = given["summary.baseline"][0]
+        raise ValueError(
+            f"config line {lineno}: summary.baseline: {summary['baseline']!r} is not an "
+            "algorithm name"
+        )
     return ExperimentSpec(
         problem=problem, graph=scopes["graph"], algorithms=algorithms, **run, **summary
     )

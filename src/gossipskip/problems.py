@@ -38,7 +38,6 @@ __all__ = [
     "logistic_from_parts",
     "flood_constants",
     "centralized_solve",
-    "save_csv_bundle",
 ]
 
 _LS_STREAM = 0x15
@@ -476,33 +475,3 @@ def centralized_solve(
     raise CentralizedSolveError(
         f"no convergence to {tol} within {max_iter} iterations", best
     )
-
-
-def save_csv_bundle(problem: ProblemInstance, directory: str | Path) -> None:
-    """Dump the instance as one CSV per matrix for external verification.
-
-    Quadratic nodes write ``a_<i>.csv`` and ``b_<i>.csv``; logistic
-    nodes write ``features_<i>.csv`` and ``labels_<i>.csv``.  A
-    ``meta.csv`` records the shared structure.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(name: str, arr: np.ndarray) -> None:
-        arr = np.atleast_2d(arr)
-        with open(directory / name, "w", newline="\n") as fh:
-            for row in arr:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    kind = "quadratic" if isinstance(problem.losses[0], QuadraticLoss) else "logistic"
-    reg_w = getattr(problem.reg, "weight", 0.0)
-    with open(directory / "meta.csv", "w", newline="\n") as fh:
-        fh.write("kind,n,d,reg_weight\n")
-        fh.write(f"{kind},{problem.n},{problem.dim},{reg_w!r}\n")
-    for i, loss in enumerate(problem.losses):
-        if isinstance(loss, QuadraticLoss):
-            dump(f"a_{i}.csv", loss.a)
-            dump(f"b_{i}.csv", loss.b)
-        else:
-            dump(f"features_{i}.csv", loss.features)
-            dump(f"labels_{i}.csv", loss.labels)

@@ -10,7 +10,6 @@ skipping-probability rules) keys off ``rho``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -20,9 +19,6 @@ __all__ = [
     "build_ring",
     "build_random_connectivity",
     "metropolis_weights",
-    "write_edge_list",
-    "read_edge_list",
-    "write_mixing_csv",
 ]
 
 # Tag mixed into the SeedSequence so graph sampling never shares a
@@ -224,30 +220,3 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
     return MixingMatrix.from_matrix(w, graph=g)
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    """Write ``n m`` then one ``i j`` line per edge, 0-indexed."""
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{i} {j}" for i, j in g.edges]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_edge_list(path: str | Path) -> Graph:
-    """Inverse of :func:`write_edge_list`."""
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 2:
-        raise ValueError("edge list must start with 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    nums = tokens[2:]
-    if len(nums) != 2 * m:
-        raise ValueError(f"expected {2*m} endpoints, found {len(nums)}")
-    edges = [(int(nums[2 * k]), int(nums[2 * k + 1])) for k in range(m)]
-    return Graph(n=n, edges=tuple(edges))
-
-
-def write_mixing_csv(mix: MixingMatrix, path: str | Path) -> None:
-    """One CSV row per node, full weight matrix, for external checks."""
-    with open(path, "w", newline="\n") as fh:
-        for row in mix.w:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -23,6 +23,7 @@ from gossipskip import (
     coin_stream,
     centralized_solve,
     contraction_factor,
+    dual_fixed_point,
     fixed_point_residual,
     gen_least_squares,
     gen_logistic,
@@ -276,18 +277,38 @@ class TestLyapunov:
         assert psi == pytest.approx(np.linalg.norm(x - x_star_stack) ** 2, rel=1e-12)
 
     def test_matches_least_squares_reconstruction_oracle(self, bench):
-        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=60, tol=0.0, seed=3)
-        res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference)
-        state = res.state
-        x_star_stack = np.tile(bench.reference.xstar, (15, 1))
-        psi = lyapunov(state, x_star_stack, bench.ystar, bench.gossip, cfg)
-        s = bench.gossip.sqrt_half_gap()
-        du, *_ = np.linalg.lstsq(s, state.y - bench.ystar, rcond=None)
-        oracle = (
-            np.linalg.norm(state.x - x_star_stack) ** 2
-            + (cfg.alpha / cfg.p) ** 2 * np.linalg.norm(du) ** 2
-        )
-        assert psi == pytest.approx(oracle, rel=1e-8)
+        # ||S^+ dY||^2 = <dY, ((I - Mbar)/2)^+ dY>, with the pseudo-inverse taken densely;
+        # the cutoff drops the consensus eigenvalue, which is -1.5e-14 at ring-210
+        problem210 = gen_least_squares(210, 10, mu=1.0, lsmooth=4.0, seed=1)
+        ring210 = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(210)))
+        assert ring210.kernel == "neighbour"
+        cases = [
+            (bench.problem, bench.gossip, bench.reference, bench.alpha),
+            (problem210, ring210, centralized_solve(problem210, tol=1e-13), 0.2 / problem210.L),
+        ]
+        for problem, gossip, reference, alpha in cases:
+            cfg = RunConfig(alpha=alpha, p=0.5, T=60, tol=0.0, seed=3)
+            state = mg_skip_run(problem, gossip, cfg, reference).state
+            x_star_stack = np.tile(reference.xstar, (problem.n, 1))
+            ystar = dual_fixed_point(problem, reference)
+            psi = lyapunov(state, x_star_stack, ystar, gossip, cfg)
+            half = 0.5 * (np.eye(problem.n) - gossip.mbar)
+            half_pinv = np.linalg.pinv(half, rcond=1e-9, hermitian=True)
+            dy = state.y - ystar
+            oracle = (
+                np.linalg.norm(state.x - x_star_stack) ** 2
+                + (cfg.alpha / cfg.p) ** 2 * float(np.sum(dy * (half_pinv @ dy)))
+            )
+            assert psi == pytest.approx(oracle, rel=1e-8), problem.n
+
+    def test_diagnostics_build_no_dense_mbar(self, bench):
+        gossip = MultiGossipOperator.from_mixing(bench.mixing)
+        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=20, tol=0.0, seed=3)
+        res = mg_skip_run(bench.problem, gossip, cfg, bench.reference, diagnostics=True)
+        assert np.isfinite(res.psi).all()
+        fixed_point_residual(bench.reference, bench.problem, gossip, bench.alpha)
+        assert "half_gap_eigh" in gossip.__dict__
+        assert "mbar" not in gossip.__dict__
 
     def test_out_of_range_dual_raises(self, bench):
         x_star_stack = np.tile(bench.reference.xstar, (15, 1))

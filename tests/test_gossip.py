@@ -160,18 +160,52 @@ class TestSpectralConsistency:
 
 
 class TestSqrtHalfGap:
+    """``S = sqrt((I - Mbar)/2)`` and ``S^+``, as the KKT residual and the
+    Lyapunov function build them from :attr:`half_gap_eigh`."""
+
     def test_square_root_squares_back(self, bench):
         op = bench.gossip
-        s = op.sqrt_half_gap()
+        h, vecs = op.half_gap_eigh
+        s = (vecs * np.sqrt(h)) @ vecs.T
         half = 0.5 * (np.eye(15) - op.mbar)
         assert np.abs(s @ s - half).max() <= 1e-12
 
     def test_pinv_projects_onto_mean_zero(self, bench):
         op = bench.gossip
-        s = op.sqrt_half_gap()
-        proj = s @ op.sqrt_half_gap_pinv()
+        h, vecs = op.half_gap_eigh
+        s = (vecs * np.sqrt(h)) @ vecs.T
+        in_range = h > 0.0
+        s_pinv = (vecs[:, in_range] / np.sqrt(h[in_range])) @ vecs[:, in_range].T
+        proj = s @ s_pinv
         expected = np.eye(15) - np.ones((15, 15)) / 15.0
         assert np.abs(proj - expected).max() <= 1e-9
+
+
+class TestHalfGapEigh:
+    @pytest.mark.parametrize(
+        "graph",
+        [build_ring(15), build_random_connectivity(20, 0.3, seed=1), build_ring(210)],
+        ids=["ring15", "random20", "ring210"],
+    )
+    def test_eigenpairs_rebuild_half_gap(self, graph):
+        op = MultiGossipOperator.from_mixing(metropolis_weights(graph))
+        # ring-210 is the smallest ring on the neighbour gather
+        assert op.kernel == ("neighbour" if graph.n == 210 else "dense")
+        h, vecs = op.half_gap_eigh
+        half = 0.5 * (np.eye(op.n) - op.mbar)
+        assert np.abs((vecs * h) @ vecs.T - half).max() <= 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(op.n)).max() <= 1e-12
+        (null,) = np.flatnonzero(h == 0.0)
+        consensus = vecs[:, null] * math.sqrt(op.n)
+        assert np.abs(np.abs(consensus) - 1.0).max() <= 1e-12
+        assert np.all(np.sign(consensus) == np.sign(consensus[0]))
+
+    def test_read_only(self, bench):
+        h, vecs = bench.gossip.half_gap_eigh
+        with pytest.raises(ValueError):
+            h[0] = 1.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 1.0
 
 
 class TestVerifyProp1:
@@ -200,6 +234,17 @@ class TestVerifyProp1:
         for label, op in gossip_matrix[:6]:
             rep = verify_prop1(op)
             assert isinstance(rep.radius, float), label
+
+    def test_spectral_quantities_match_dense_eigvalsh(self, gossip_matrix):
+        for label, op in gossip_matrix:
+            rep = verify_prop1(op)
+            mbar, n = op.mbar, op.n
+            centered = mbar - np.ones((n, n)) / n
+            radius = np.abs(np.linalg.eigvalsh(0.5 * (centered + centered.T))).max()
+            gap_eigs = np.linalg.eigvalsh(np.eye(n) - 0.5 * (mbar + mbar.T))
+            sigma_min = gap_eigs[gap_eigs > 1e-9].min()
+            assert abs(rep.radius - radius) <= 1e-12, label
+            assert abs(rep.sigma_min - sigma_min) <= 1e-12, label
 
 
 def _dense_recursion(w, states, K, eta):

@@ -221,6 +221,16 @@ class TestParseConfig:
                 "problem.lsmooth",
             ),
             ("run.seeds = 0", "run.seeds = 0,0", "run.seeds"),
+            ("alg.0.alpha = one_over_5L", "alg.0.alpha = one_over_2L", "alg.0.alpha"),
+            ("alg.0.p = 1.0", "alg.0.p = 1.0\nalg.0.K = fixed:0", "alg.0.K"),
+            ("alg.0.p = 1.0", "alg.0.p = 1.5", "alg.0.p"),
+            ("= mg_skip_p1", "= nope", "summary.baseline"),
+            (
+                "alg.1.p = 0.5",
+                "alg.1.p = 0.5\nalg.1.name = a\nalg.0.name = a",
+                "alg.1.name",
+            ),
+            ("alg.1.p = 0.5", "alg.1.p = 1.0", "alg.1.kind"),
         ],
         ids=[
             "n-float",
@@ -233,6 +243,12 @@ class TestParseConfig:
             "kappa-rule",
             "two-curvature-keys",
             "repeated-seeds",
+            "alpha-rule",
+            "K-rule",
+            "p-range",
+            "unknown-baseline",
+            "repeated-name",
+            "repeated-generated-name",
         ],
     )
     def test_bad_value_names_line_and_key(self, old, new, key):

@@ -22,7 +22,6 @@ from gossipskip import (
     load_libsvm,
     logistic_from_parts,
 )
-from gossipskip.problems import save_csv_bundle
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -363,23 +362,6 @@ class TestProblemInstance:
             want = centralized_solve(looped).xstar
             got = centralized_solve(p).xstar
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    def test_csv_bundle(self, tmp_path):
-        p = gen_least_squares(3, 4, 1.0, 2.0, seed=1)
-        save_csv_bundle(p, tmp_path)
-        assert (tmp_path / "meta.csv").exists()
-        assert (tmp_path / "a_2.csv").exists()
-        first = np.loadtxt(tmp_path / "a_0.csv", delimiter=",")
-        assert np.array_equal(first, p.losses[0].a)
-
-    def test_csv_bundle_logistic(self, tmp_path):
-        p = gen_logistic(2, 3, 5, gamma1=0.1, gamma2=0.01, seed=0)
-        save_csv_bundle(p, tmp_path)
-        assert (tmp_path / "features_1.csv").exists()
-        labels = np.loadtxt(tmp_path / "labels_0.csv", delimiter=",")
-        assert set(np.unique(labels)) <= {-1.0, 1.0}
-        meta = (tmp_path / "meta.csv").read_text().splitlines()[1]
-        assert meta.startswith("logistic,2,3,")
 
     def test_requires_strong_convexity(self):
         loss = QuadraticLoss(a=np.zeros((2, 2)), b=np.zeros(2), mu=0.0, lsmooth=0.0)

@@ -11,9 +11,6 @@ from gossipskip import (
     build_random_connectivity,
     build_ring,
     metropolis_weights,
-    read_edge_list,
-    write_edge_list,
-    write_mixing_csv,
 )
 
 
@@ -171,29 +168,3 @@ class TestMixingValidation:
     def test_weights_are_immutable(self, ring15_mixing):
         with pytest.raises(ValueError):
             ring15_mixing.w[0, 0] = 2.0
-
-
-class TestSerialization:
-    def test_edge_list_round_trip(self, tmp_path):
-        g = build_random_connectivity(12, 0.4, seed=3)
-        path = tmp_path / "graph.txt"
-        write_edge_list(g, path)
-        first = path.read_text().splitlines()[0]
-        assert first == f"{g.n} {g.m}"
-        assert read_edge_list(path).edges == g.edges
-
-    def test_malformed_edge_list(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 2\n0 1\n")  # promises 2 edges, provides 1
-        with pytest.raises(ValueError, match="endpoints"):
-            read_edge_list(path)
-
-    def test_mixing_csv(self, tmp_path):
-        m = metropolis_weights(build_ring(5))
-        path = tmp_path / "w.csv"
-        write_mixing_csv(m, path)
-        rows = [
-            [float(tok) for tok in line.split(",")]
-            for line in path.read_text().splitlines()
-        ]
-        assert np.allclose(np.array(rows), m.w, atol=0)
