@@ -18,8 +18,8 @@ scalars.  The diagnostics use that map instead of a dense ``Mbar``:
 :func:`verify_prop1` reads the measured contraction radius and the
 smallest nonzero eigenvalue of ``I - Mbar`` off
 :attr:`MultiGossipOperator.spectrum` and reports them next to the
-classical ``sqrt(2) (1 - sqrt(1-rho))^K`` envelope, and the Lyapunov and
-fixed-point diagnostics work in the eigenbasis
+classical ``sqrt(2) (1 - sqrt(1-rho))^K`` envelope, and the Lyapunov
+diagnostic works in the eigenbasis
 :attr:`MultiGossipOperator.half_gap_eigh`.  The envelope is not a sound
 spectral-radius bound at the prescribed round count (the recursion is
 critically damped at the edge eigenvalues, which adds a polynomial-in-K
@@ -45,16 +45,22 @@ __all__ = [
 ]
 
 # Eigenvalues of (I - Mbar)/2 at or below this are flushed to exactly 0.  The
-# consensus mode's value 1 - p_K(1) is rounding noise, and the Lyapunov and
-# fixed-point diagnostics must give that mode no weight at all.
+# consensus mode's value 1 - p_K(1) is rounding noise, and the Lyapunov
+# diagnostic must give that mode no weight at all.
 _NULL_TOL = 1e-9
 
-# The neighbor gather applies W when n >= this many times the widest row's
-# nonzero count.  Measured per W @ S with d = 10, one BLAS thread on a
-# 2-core x86-64 VM: rings cross over between n = 200 (dense 23 us, gather
-# 30 us) and n = 210 (38 vs 31 us); at ring-400 the gather is 5x faster
-# (49 vs 243 us).
-_GATHER_MIN_NODES_PER_SLOT = 70
+# The neighbor gather applies W when n >= 20 * width + 100, width being the
+# widest row's nonzero count: per row, a gather round costs about what a dense
+# row of 20 entries per slot plus 100 costs.  Rings switch at n = 160, and no
+# graph below n = 120 ever does.  Measured per W @ S at d = 10, one BLAS
+# thread, 2-core x86-64 VM, dense vs gather: ring-90 9 vs 12 us, ring-120
+# 12-13 vs 13-14 us, ring-200 29 vs 16-17 us; random graphs n = 200 (width 9)
+# 31 vs 32-34 us, n = 250 (width 10) 35-41 vs 43-46 us, n = 350 (width 11)
+# 184-192 vs 57-67 us, n = 800 (width 14) 1063-1133 vs 203-228 us.  Dense cost
+# jumps between n = 300 and 350 (a cache effect), so no single n / width
+# ratio fits both rings and random graphs.
+_GATHER_COST_PER_SLOT = 20
+_GATHER_COST_PER_ROW = 100
 
 # Mbar is built this many columns of I at a time, so the gather's
 # (width, n, columns) temporaries stay small next to Mbar itself.
@@ -115,8 +121,8 @@ class MultiGossipOperator:
         """How each round applies ``W``: ``"neighbour"`` gather or ``"dense"`` product.
 
         Chosen once per operator from the sparsity of ``W``: the gather
-        when ``n`` is at least ``_GATHER_MIN_NODES_PER_SLOT`` (70) times
-        ``width``, the largest number of nonzeros in a row of ``W``.
+        when ``n >= 20 * width + 100``, ``width`` being the largest number
+        of nonzeros in a row of ``W``.
         """
         return "neighbour" if isinstance(self._apply_w, _NeighbourTable) else "dense"
 
@@ -125,7 +131,7 @@ class MultiGossipOperator:
         """The callable applying ``W`` to a state array."""
         w = self.mixing.w
         width = int(np.count_nonzero(w, axis=1).max())
-        sparse = self.n >= _GATHER_MIN_NODES_PER_SLOT * width
+        sparse = self.n >= _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
         return _NeighbourTable(w) if sparse else partial(np.matmul, w)
 
     @cached_property
@@ -187,6 +193,10 @@ class _NeighbourTable:
     ``idx`` and ``wts`` have shape ``(width, n)``: row ``i`` of ``W @ s``
     is ``sum_k wts[k, i] * s[idx[k, i]]``.  Rows with fewer than
     ``width`` nonzeros are padded with weight 0 on the node itself.
+    ``wts_by_shape`` maps each trailing state shape met so far to a
+    read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the
+    multiply then runs over contiguous operands instead of broadcasting
+    ``wts`` with stride 0, which took about half of each round.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -198,11 +208,19 @@ class _NeighbourTable:
         self.wts = np.zeros(self.idx.shape)
         self.idx[slot, rows] = cols
         self.wts[slot, rows] = w[rows, cols]
+        self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        # weights broadcast over the trailing axes of s, which may be none
-        wts = self.wts.reshape(self.wts.shape + (1,) * (s.ndim - 1))
-        return (np.take(s, self.idx, axis=0) * wts).sum(axis=0)
+        wts = self.wts_by_shape.get(s.shape[1:])
+        if wts is None:
+            column = self.wts.reshape(self.wts.shape + (1,) * (s.ndim - 1))
+            wts = np.broadcast_to(column, self.wts.shape + s.shape[1:]).copy()
+            wts.setflags(write=False)
+            # concurrent first calls build equal copies; every caller uses the stored one
+            wts = self.wts_by_shape.setdefault(s.shape[1:], wts)
+        g = np.take(s, self.idx, axis=0)
+        g *= wts
+        return g.sum(axis=0)
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:

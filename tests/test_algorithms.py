@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import gossipskip.algorithms as algorithms
 from gossipskip import (
     DivergenceError,
     L1Reg,
@@ -125,6 +126,38 @@ class TestRun:
         assert np.array_equal(res.comm_rounds, bench.gossip.K * np.cumsum(res.thetas))
         if runner == "puda_run":
             assert (res.thetas == 1).all()
+
+    @pytest.mark.parametrize("case", ["mg_skip_p1", "mg_skip_p0.34", "skip1", "puda_c_is_i"])
+    def test_gossip_calls_match_comm_rounds(self, bench, monkeypatch, case):
+        """Each ``fast_goss`` call is ``K`` rounds, and every row counts the calls made so far."""
+        count = 0
+        calls = []  # fast_goss calls made by the end of each iteration
+        fast_goss, run = MultiGossipOperator.fast_goss, algorithms._run
+
+        def counting_goss(self, states):
+            nonlocal count
+            count += 1
+            return fast_goss(self, states)
+
+        def counting_run(step, *args, **kwargs):
+            def counted(state, theta):
+                state = step(state, theta)
+                calls.append(count)
+                return state
+
+            return run(counted, *args, **kwargs)
+
+        monkeypatch.setattr(MultiGossipOperator, "fast_goss", counting_goss)
+        monkeypatch.setattr(algorithms, "_run", counting_run)
+        gossip = one_round(bench.mixing) if case == "skip1" else bench.gossip
+        if case == "puda_c_is_i":
+            res = puda_run(bench.problem, puda_mgskip_p1(gossip), bench.alpha, 200, bench.reference)
+        else:
+            p = 1.0 if case == "mg_skip_p1" else 0.34
+            cfg = RunConfig(alpha=bench.alpha, p=p, T=200, tol=0.0, seed=4)
+            res = mg_skip_run(bench.problem, gossip, cfg, bench.reference)
+        assert res.iterations == 200 and count > 0
+        assert np.array_equal(np.array(calls) * gossip.K, res.comm_rounds)
 
     def test_bit_identical_reruns(self, bench):
         cfg = RunConfig(alpha=bench.alpha, p=0.3, T=150, tol=0.0, seed=7)
@@ -462,7 +495,8 @@ class TestPUDA:
         res = puda_run(bench.problem, cfg, bench.alpha, 2, bench.reference)
         assert res.comm_rounds.tolist() == [bench.gossip.K, 2 * bench.gossip.K]
         assert res.grad_evals.tolist() == [1, 2]
-        assert [f.name for f in fields(res.state)] == ["x", "x_prev", "z_prev", "grad_prev"]
+        names = ["x", "x_prev", "z_prev", "grad_prev", "hz_prev"]
+        assert [f.name for f in fields(res.state)] == names
 
     def test_first_iterate_from_zero(self, bench):
         """From zero, the first step is ``x1 = prox(H (-alpha grad F(0)))``."""

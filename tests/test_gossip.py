@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +191,7 @@ class TestHalfGapEigh:
     )
     def test_eigenpairs_rebuild_half_gap(self, graph):
         op = MultiGossipOperator.from_mixing(metropolis_weights(graph))
-        # ring-210 is the smallest ring on the neighbour gather
+        # ring-210 is on the neighbour gather (rings from n = 160 are)
         assert op.kernel == ("neighbour" if graph.n == 210 else "dense")
         h, vecs = op.half_gap_eigh
         half = 0.5 * (np.eye(op.n) - op.mbar)
@@ -270,9 +272,9 @@ SHAPES = ((10,), (1,), ())
 
 class TestNeighbourKernel:
     def test_kernel_chosen_from_sparsity(self, large_gossip, bench, gossip_matrix):
-        # ring-200 sits just below the crossover (n = 200 < 70 * 3)
+        # the gather from n >= 20 * width + 100: 160 on rings, 360 at width 13
         assert {label: large_gossip[label].kernel for label in LARGE} == {
-            "ring200": "dense",
+            "ring200": "neighbour",
             "ring400": "neighbour",
             "ring800": "neighbour",
             "rand1000": "neighbour",
@@ -291,11 +293,63 @@ class TestNeighbourKernel:
         out = op.fast_goss(states)
         assert out.shape == states.shape
         assert np.abs(out - dense).max() <= 1e-13
-        # ring-200 picks the dense kernel; drive the gather explicitly too
+        # drive the gather explicitly too, whichever kernel the operator picked
         gathered = states - _chebyshev(_NeighbourTable(op.mixing.w), states, op.K, op.eta)
         assert gathered.shape == states.shape
         assert np.abs(gathered - dense).max() <= 1e-13
         assert np.array_equal(states, before)
+
+    @pytest.mark.parametrize("label", ("ring400", "rand1000"))
+    @pytest.mark.parametrize("trailing", SHAPES + ((32,),))
+    def test_gather_bit_identical_to_broadcast_weights(self, large_gossip, label, trailing):
+        table = _NeighbourTable(large_gossip[label].mixing.w)
+        # rand1000's rows are padded: only its widest row fills every slot
+        assert (table.wts == 0.0).any() == (label == "rand1000")
+        states = np.random.default_rng(13).standard_normal((table.wts.shape[1], *trailing))
+        before = states.copy()
+        # the weights broadcast over the trailing axes with stride 0
+        wts = table.wts.reshape(table.wts.shape + (1,) * len(trailing))
+        expected = (np.take(states, table.idx, axis=0) * wts).sum(axis=0)
+        assert np.array_equal(table(states), expected)
+        assert np.array_equal(table(states), expected)  # from the cached layout
+        assert np.array_equal(states, before)
+
+    def test_cached_weights_read_only(self, large_gossip):
+        table = _NeighbourTable(large_gossip["rand1000"].mixing.w)
+        for trailing in SHAPES + ((32,),):
+            table(np.ones((table.wts.shape[1], *trailing)))
+        assert set(table.wts_by_shape) == {(10,), (1,), (), (32,)}
+        for trailing, wts in table.wts_by_shape.items():
+            assert wts.shape == table.wts.shape + trailing and wts.flags.c_contiguous
+            with pytest.raises(ValueError):
+                wts[...] = 0.0
+
+    def test_concurrent_calls_match_serial(self, large_gossip):
+        """Four threads share a fresh ring-400 operator and race to build its
+        neighbour table and weight layouts; each result is bitwise the serial one."""
+        mixing = large_gossip["ring400"].mixing
+        rng = np.random.default_rng(17)
+        inputs = [rng.standard_normal((mixing.n, *shape)) for shape in ((10,), (1,), (), (10,))]
+        serial = [large_gossip["ring400"].fast_goss(s) for s in inputs]
+        op = MultiGossipOperator.from_mixing(mixing)
+        start = threading.Barrier(4)
+
+        def work(k):
+            start.wait(timeout=60)
+            return [op.fast_goss(inputs[(k + j) % 4]) for j in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, k) for k in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert op.kernel == "neighbour"
+        for k, outs in enumerate(results):
+            for j, out in enumerate(outs):
+                assert np.array_equal(out, serial[(k + j) % 4]), (k, j)
 
     @pytest.mark.parametrize("label", LARGE)
     def test_matches_mbar(self, large_gossip, label):

@@ -363,7 +363,7 @@ class TestRunExperiment:
 
     def test_manifest_records_gossip_kernels(self, tmp_path):
         small = BASE_CONFIG + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
-        # ring-240 is above the gather crossover (240 >= 70 * 3 nonzeros per row)
+        # ring-240 is above the gather crossover (240 >= 20 * 3 nonzeros per row + 100)
         large = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
             "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
         )
