@@ -145,7 +145,11 @@ class RunResult:
     costs one gradient per node, so ``grad_evals[k] = k + 1``.  ``psi``
     is NaN when diagnostics were off.  ``state`` is the last iterate
     state of the run's own algorithm (:class:`MGSkipState` or
-    :class:`PUDAState`).
+    :class:`PUDAState`).  ``stop_reason`` names why the trace ends:
+    ``"tol"`` (``rel_err`` fell below the tolerance), ``"horizon"`` (the
+    last coin was used), ``"budget"`` (the communication budget was
+    reached), or ``"divergence"`` on the rows a :class:`DivergenceError`
+    carries.
     """
 
     thetas: np.ndarray
@@ -153,8 +157,13 @@ class RunResult:
     rel_err: np.ndarray
     psi: np.ndarray
     psi0: float
-    stopped: bool
+    stop_reason: str
     state: MGSkipState | PUDAState
+
+    @property
+    def stopped(self) -> bool:
+        """Whether the run reached its tolerance."""
+        return self.stop_reason == "tol"
 
     @property
     def iterations(self) -> int:
@@ -182,8 +191,9 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
     ``theta`` for each entry of ``thetas``; an iteration whose coin is 1
     costs ``rounds`` gossip rounds.  Stops after the first row with
     ``rel_err < tol`` (if ``tol`` is positive), after the last coin, or as
-    soon as ``comm_rounds >= comm_budget`` when a budget is given.  ``psi``,
-    when given, maps a state to its Lyapunov value.  A
+    soon as ``comm_rounds >= comm_budget`` when a budget is given, and
+    names which in ``stop_reason``.  ``psi``, when given, maps a state to
+    its Lyapunov value.  A
     :class:`DivergenceError` from ``step`` is re-raised naming the
     iteration and carrying the rows recorded before it.
     """
@@ -193,7 +203,7 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
     # a list append costs a fraction of a per-row array write; result() converts once
     comms, rels, psis = [], [], []
 
-    def result(stopped: bool) -> RunResult:
+    def result(stop_reason: str) -> RunResult:
         k = len(rels)
         return RunResult(
             thetas=np.array(thetas[:k], dtype=int),
@@ -201,7 +211,7 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
             rel_err=np.array(rels, dtype=float),
             psi=np.array(psis, dtype=float) if psi else np.full(k, np.nan),
             psi0=psi0,
-            stopped=stopped,
+            stop_reason=stop_reason,
             state=state,
         )
 
@@ -209,7 +219,7 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
         try:
             state = step(state, theta)
         except DivergenceError as err:
-            raise DivergenceError(f"{err} at t={t}", result(False)) from None
+            raise DivergenceError(f"{err} at t={t}", result("divergence")) from None
         comm += theta * rounds
         rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
         comms.append(comm)
@@ -217,10 +227,10 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
         if psi:
             psis.append(psi(state))
         if tol > 0.0 and rel < tol:
-            return result(True)
+            return result("tol")
         if comm_budget is not None and comm >= comm_budget:
-            break
-    return result(False)
+            return result("budget")
+    return result("horizon")
 
 
 def mg_skip_run(

@@ -10,7 +10,10 @@ and the distributed procedure :meth:`MultiGossipOperator.fast_goss`
 evaluates ``(I - Mbar) @ states`` using only per-node neighbor
 exchanges, ``K`` rounds per invocation.  Each round applies ``W`` either
 as a dense product or, on large sparse graphs, by gathering every node's
-neighbor rows from a padded table (see :attr:`MultiGossipOperator.kernel`).
+neighbor rows from a padded table; on mid-size sparse graphs whose ``K``
+rounds cost more than one dense product, the cached ``Mbar`` is applied
+instead, folding the ``K`` rounds into one (see
+:attr:`MultiGossipOperator.kernel`).
 
 ``Mbar`` is a polynomial in ``W``: it has ``W``'s eigenvectors, and each
 eigenvalue ``lam`` of ``W`` maps to ``p_K(lam)``, the recursion run on
@@ -62,6 +65,20 @@ _NULL_TOL = 1e-9
 _GATHER_COST_PER_SLOT = 20
 _GATHER_COST_PER_ROW = 100
 
+# Where the gather is picked, the folded kernel applies the cached Mbar in one
+# dense product when n <= 512 and 2 * n < K * (20 * width + 100): per row, the
+# product costs about 2 dense-row entries per node against K gathered rounds.
+# Fitted per call at d = 10, one BLAS thread, 2-core x86-64 VM, from the K at
+# which one product (states - Mbar @ states) costs what K gathered rounds do:
+# ring-160 1.1, ring-200 1.7, ring-300 2.5, ring-350 4.3, ring-400 6.9,
+# ring-512 9.8; random n = 350 (width 11) 2.0, n = 400 (width 13) 2.3, n = 512
+# (width 11) 4.0.  Those put the factor between 1.1 and 3.3 (the dense cache
+# jump again); 2 keeps every misjudged call within 2x of the faster kernel.
+# The cap keeps Mbar at 2 MiB, and its build (0.1 s at ring-400, 0.85 s at
+# ring-800) within a few dozen calls' saving.
+_FOLD_COST_PER_NODE = 2
+_FOLD_MAX_NODES = 512
+
 # Mbar is built this many columns of I at a time, so the gather's
 # (width, n, columns) temporaries stay small next to Mbar itself.
 _MBAR_BLOCK = 32
@@ -94,6 +111,8 @@ class MultiGossipOperator:
     Immutable after construction; the kernel applying ``W``, the dense
     ``Mbar`` and the eigenpairs of ``(I - Mbar)/2`` are built on first use
     and cached.  ``fast_goss`` is pure and safe to call concurrently.
+    Choosing the kernel builds nothing: the folded kernel's ``Mbar`` is
+    built by its first ``fast_goss``.
     """
 
     mixing: MixingMatrix
@@ -116,34 +135,48 @@ class MultiGossipOperator:
     def n(self) -> int:
         return self.mixing.n
 
-    @property
+    @cached_property
     def kernel(self) -> str:
-        """How each round applies ``W``: ``"neighbour"`` gather or ``"dense"`` product.
+        """How ``fast_goss`` applies ``Mbar``: ``"dense"``, ``"neighbour"`` or ``"folded"``.
 
-        Chosen once per operator from the sparsity of ``W``: the gather
-        when ``n >= 20 * width + 100``, ``width`` being the largest number
-        of nonzeros in a row of ``W``.
+        Chosen once per operator from the sparsity of ``W`` and ``K``, with
+        ``width`` the largest number of nonzeros in a row of ``W``:
+
+        - ``"dense"``: ``K`` rounds of ``W @ S``, when ``n < 20 * width + 100``;
+        - ``"folded"``: one product with the cached ``Mbar``, when also
+          ``n <= 512`` and ``2 * n < K * (20 * width + 100)``;
+        - ``"neighbour"``: ``K`` rounds of the neighbour gather otherwise.
         """
-        return "neighbour" if isinstance(self._apply_w, _NeighbourTable) else "dense"
+        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
+        gather_row = _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
+        if self.n < gather_row:
+            return "dense"
+        if self.n <= _FOLD_MAX_NODES and _FOLD_COST_PER_NODE * self.n < self.K * gather_row:
+            return "folded"
+        return "neighbour"
 
     @cached_property
     def _apply_w(self):
-        """The callable applying ``W`` to a state array."""
+        """The callable applying ``W`` to a state array: ``W @ s`` on the
+        dense kernel, else the neighbour gather, which also builds ``Mbar``."""
         w = self.mixing.w
-        width = int(np.count_nonzero(w, axis=1).max())
-        sparse = self.n >= _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
-        return _NeighbourTable(w) if sparse else partial(np.matmul, w)
+        return partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
 
     @cached_property
     def mbar(self) -> np.ndarray:
-        """Dense ``M_K``: the recursion of :meth:`fast_goss` applied to ``I``."""
-        eye = np.eye(self.n)
-        m = np.hstack(
-            [
-                _chebyshev(self._apply_w, eye[:, j : j + _MBAR_BLOCK], self.K, self.eta)
-                for j in range(0, self.n, _MBAR_BLOCK)
-            ]
-        )
+        """Dense ``M_K``: the recursion of :meth:`fast_goss` applied to ``I``.
+
+        Built ``_MBAR_BLOCK`` columns of ``I`` at a time into one ``(n, n)``
+        array, so the build holds ``Mbar`` and one block's temporaries.
+        Read-only.
+        """
+        n = self.n
+        m = np.empty((n, n))
+        for j in range(0, n, _MBAR_BLOCK):
+            cols = min(_MBAR_BLOCK, n - j)
+            eye = np.zeros((n, cols))
+            eye[j : j + cols] = np.eye(cols)
+            m[:, j : j + cols] = _chebyshev(self._apply_w, eye, self.K, self.eta)
         m.setflags(write=False)
         return m
 
@@ -177,13 +210,18 @@ class MultiGossipOperator:
         Each of the ``K`` rounds combines every node's value with its
         neighbors' (one application of ``W``); the momentum term is
         purely local.  Returns ``states - s_K`` where ``s_K`` follows
-        the Chebyshev recursion from ``s_0 = s_{-1} = states``.
+        the Chebyshev recursion from ``s_0 = s_{-1} = states``.  The
+        folded kernel computes the same ``K`` rounds as one product with
+        ``Mbar``, which agrees with the recursion to rounding (``1.4e-14``
+        at ring-400 on unit normal states).
         """
         states = np.asarray(states, dtype=float)
         if states.shape[0] != self.n:
             raise ValueError(
                 f"states has {states.shape[0]} rows, expected {self.n}"
             )
+        if self.kernel == "folded":
+            return states - self.mbar @ states
         return states - _chebyshev(self._apply_w, states, self.K, self.eta)
 
 

@@ -27,8 +27,9 @@ Outputs are one CSV per (algorithm, seed) run with the fixed column
 order ``algorithm, seed, t, theta, comm_rounds, grad_evals, rel_err,
 psi``, a ``summary.csv`` with iterations/communication to tolerance and
 speedup ratios against a declared baseline row, and a ``manifest.json``
-holding the config hash, versions and wall-clock timings (timings never
-enter the data files, so reruns are byte-identical).
+holding the config hash, versions, the gossip kernels, each run's stop
+reason and wall-clock timings (timings never enter the data files, so
+reruns are byte-identical).
 """
 
 from __future__ import annotations
@@ -390,8 +391,15 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     """Execute every (algorithm, seed) pair and write traces + summary.
 
     The reference solution is computed once and shared by every run, so
-    all relative errors are against the same ``x*``.  Returns the
+    all relative errors are against the same ``x*``.  Rows whose gossip
+    operators agree in ``K`` and ``eta`` share one operator.  Returns the
     summary structure that also lands in ``summary.csv``.
+
+    ``manifest.json`` lists per ``(algorithm, seed)`` the run's stop
+    reason, wall-clock seconds and iterations per second; the engine's one
+    run is listed under every seed.  A folded operator builds ``Mbar`` in
+    the first run that gossips with it, so that run's time includes the
+    build.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,34 +408,50 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     graph = build_graph(spec)
     mixing = metropolis_weights(graph)
     problem = build_problem(spec, mixing)
+    clock = time.perf_counter()
     reference = centralized_solve(problem, tol=1e-13)
+    reference_seconds = time.perf_counter() - clock
 
-    rows = []
+    rows, runs = [], []
     kernels: dict[str, str] = {}
+    # rows with the same K and eta share one operator, so its neighbour table
+    # and Mbar are built once per experiment
+    operators: dict[tuple[int, float], MultiGossipOperator] = {}
     for alg in spec.algorithms:
-        gossip = build_gossip(alg, mixing)
+        built = build_gossip(alg, mixing)
+        gossip = operators.setdefault((built.K, built.eta), built)
         alpha = alg.resolve_alpha(problem.L)
         kernels[alg.name] = gossip.kernel
         result = None
         for seed in spec.seeds:
-            try:
-                if alg.kind != _ENGINE_KIND:
-                    cfg = RunConfig(
-                        alpha=alpha, p=alg.p, T=spec.T, tol=spec.tol, seed=seed
-                    )
-                    result = mg_skip_run(
-                        problem, gossip, cfg, reference, diagnostics=spec.diagnostics
-                    )
-                elif result is None:
-                    # the engine ignores the seed, so its one run is every seed's trace
-                    result = puda_run(
-                        problem, puda_nids(gossip), alpha, spec.T, reference, tol=spec.tol
-                    )
-            except Exception as err:
-                # traces already on disk stay there; attach the run identity
-                raise RuntimeError(f"run {alg.name}/seed{seed} failed: {err}") from err
+            # the engine ignores the seed, so its one run is every seed's trace
+            if result is None or alg.kind != _ENGINE_KIND:
+                clock = time.perf_counter()
+                try:
+                    if alg.kind == _ENGINE_KIND:
+                        result = puda_run(
+                            problem, puda_nids(gossip), alpha, spec.T, reference, tol=spec.tol
+                        )
+                    else:
+                        cfg = RunConfig(alpha=alpha, p=alg.p, T=spec.T, tol=spec.tol, seed=seed)
+                        result = mg_skip_run(
+                            problem, gossip, cfg, reference, diagnostics=spec.diagnostics
+                        )
+                except Exception as err:
+                    # traces already on disk stay there; attach the run identity
+                    raise RuntimeError(f"run {alg.name}/seed{seed} failed: {err}") from err
+                seconds = time.perf_counter() - clock
             write_trace_csv(out / f"{alg.name}__seed{seed}.csv", alg.name, seed, result)
             rows.append(_summary_row(alg.name, seed, result))
+            runs.append(
+                {
+                    "algorithm": alg.name,
+                    "seed": seed,
+                    "stop_reason": result.stop_reason,
+                    "run_seconds": _significant(seconds),
+                    "iterations_per_second": _significant(result.iterations / seconds),
+                }
+            )
 
     summary = _summarize(rows, spec)
     _write_summary_csv(out / "summary.csv", summary)
@@ -441,9 +465,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         "gossip_kernels": kernels,
         "reference_residual": reference.residual,
         "reference_iterations": reference.iterations,
+        "reference_seconds": _significant(reference_seconds),
+        "runs": runs,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return summary
+
+
+def _significant(value: float) -> float:
+    """``value`` to six significant digits, for the manifest's timings."""
+    return float(f"{value:.6g}")
 
 
 def _summary_row(name: str, seed: int, result: RunResult) -> dict:

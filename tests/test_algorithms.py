@@ -222,6 +222,22 @@ class TestRun:
         assert res.comm_rounds[-2] < 40
         assert res.iterations == -(-40 // bench.gossip.K)
 
+    @pytest.mark.parametrize(
+        "T,tol,budget,reason,iterations",
+        [
+            (40, 0.0, None, "horizon", 40),
+            (500, 0.0, 40, "budget", 10),
+            # the budget is met on the last coin: the budget ended the run
+            (10, 0.0, 40, "budget", 10),
+            (5000, 1e-7, None, "tol", 637),
+        ],
+    )
+    def test_stop_reason_named(self, bench, T, tol, budget, reason, iterations):
+        cfg = RunConfig(alpha=bench.alpha, p=1.0, T=T, tol=tol, seed=0)
+        res = mg_skip_run(bench.problem, bench.gossip, cfg, bench.reference, comm_budget=budget)
+        assert (res.stop_reason, res.iterations) == (reason, iterations)
+        assert res.stopped == (reason == "tol")
+
     def test_divergence_carries_partial_trace(self):
         class TimeBomb:
             """Gradient turns non-finite after a few evaluations."""
@@ -250,6 +266,7 @@ class TestRun:
             mg_skip_run(problem, gossip, cfg, np.ones(2))
         partial = err.value.result
         assert partial is not None and partial.iterations == 3
+        assert partial.stop_reason == "divergence"
         assert np.isfinite(partial.rel_err).all()
 
     def test_divergence_in_dual_caught_at_once(self):
@@ -314,7 +331,7 @@ class TestLyapunov:
         # the cutoff drops the consensus eigenvalue, which is -1.5e-14 at ring-210
         problem210 = gen_least_squares(210, 10, mu=1.0, lsmooth=4.0, seed=1)
         ring210 = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(210)))
-        assert ring210.kernel == "neighbour"
+        assert ring210.kernel == "folded"
         cases = [
             (bench.problem, bench.gossip, bench.reference, bench.alpha),
             (problem210, ring210, centralized_solve(problem210, tol=1e-13), 0.2 / problem210.L),

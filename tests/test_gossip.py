@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from gossipskip import (
     metropolis_weights,
     verify_prop1,
 )
-from gossipskip.gossip import _chebyshev, _NeighbourTable
+from gossipskip.gossip import _MBAR_BLOCK, _chebyshev, _NeighbourTable
 
 
 class TestChebyshevEta:
@@ -67,6 +68,34 @@ class TestMbar:
         mbar = op.mbar
         assert np.abs(mbar - mbar.T).max() <= 1e-12
         assert np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [15, 400])
+    def test_bit_identical_to_hstack_of_blocks(self, n):
+        """The preallocated build gives exactly the columns the recursion gives
+        on slices of a dense identity, joined by ``np.hstack``."""
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(n)))
+        eye = np.eye(n)
+        blocks = [
+            _chebyshev(op._apply_w, eye[:, j : j + _MBAR_BLOCK], op.K, op.eta)
+            for j in range(0, n, _MBAR_BLOCK)
+        ]
+        assert np.array_equal(op.mbar, np.hstack(blocks))
+        assert not op.mbar.flags.writeable
+
+    def test_build_holds_mbar_and_one_block(self):
+        """Building ring-400's Mbar allocates at most n^2 doubles plus one block's
+        temporaries: the identity block and three iterates of the recursion, and
+        per gathered round a (width, n, block) product and weight layout (two
+        layouts, for the full and the last partial block)."""
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
+        n, width = op.n, 3
+        tracemalloc.start()
+        try:
+            op.mbar
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * n + (3 * width + 4) * n * _MBAR_BLOCK)
 
     def test_k1_eta0_reduces_to_w(self, ring15_mixing):
         op = MultiGossipOperator(mixing=ring15_mixing, K=1, eta=0.0)
@@ -191,8 +220,8 @@ class TestHalfGapEigh:
     )
     def test_eigenpairs_rebuild_half_gap(self, graph):
         op = MultiGossipOperator.from_mixing(metropolis_weights(graph))
-        # ring-210 is on the neighbour gather (rings from n = 160 are)
-        assert op.kernel == ("neighbour" if graph.n == 210 else "dense")
+        # ring-210 folds its K = 57 rounds into one product with Mbar
+        assert op.kernel == ("folded" if graph.n == 210 else "dense")
         h, vecs = op.half_gap_eigh
         half = 0.5 * (np.eye(op.n) - op.mbar)
         assert np.abs((vecs * h) @ vecs.T - half).max() <= 1e-12
@@ -272,15 +301,28 @@ SHAPES = ((10,), (1,), ())
 
 class TestNeighbourKernel:
     def test_kernel_chosen_from_sparsity(self, large_gossip, bench, gossip_matrix):
-        # the gather from n >= 20 * width + 100: 160 on rings, 360 at width 13
+        # the gather from n >= 20 * width + 100: 160 on rings, 360 at width 13;
+        # folded up to n = 512 once 2 * n < K * (20 * width + 100)
         assert {label: large_gossip[label].kernel for label in LARGE} == {
-            "ring200": "neighbour",
-            "ring400": "neighbour",
+            "ring200": "folded",
+            "ring400": "folded",
             "ring800": "neighbour",
             "rand1000": "neighbour",
         }
         assert bench.gossip.kernel == "dense"
         assert all(op.kernel == "dense" for _, op in gossip_matrix)
+        # a ring-400 row costs 160 per gathered round against 800 for the product
+        mixing = large_gossip["ring400"].mixing
+        kernels = {K: MultiGossipOperator.from_mixing(mixing, K=K).kernel for K in (1, 5, 6)}
+        assert kernels == {1: "neighbour", 5: "neighbour", 6: "folded"}
+        assert MultiGossipOperator(mixing=mixing, K=1, eta=0.0).kernel == "neighbour"
+
+    def test_folded_mbar_built_by_first_call(self, large_gossip):
+        op = MultiGossipOperator.from_mixing(large_gossip["ring200"].mixing)
+        assert op.kernel == "folded"
+        assert "mbar" not in op.__dict__
+        states = np.random.default_rng(5).standard_normal((op.n, 10))
+        assert np.array_equal(op.fast_goss(states), states - op.__dict__["mbar"] @ states)
 
     @pytest.mark.parametrize("label", LARGE)
     @pytest.mark.parametrize("trailing", SHAPES)
@@ -326,30 +368,33 @@ class TestNeighbourKernel:
 
     def test_concurrent_calls_match_serial(self, large_gossip):
         """Four threads share a fresh ring-400 operator and race to build its
-        neighbour table and weight layouts; each result is bitwise the serial one."""
+        lazily built state: the neighbour table and weight layouts at K = 1,
+        Mbar at the default K.  Each result is bitwise the serial one."""
         mixing = large_gossip["ring400"].mixing
         rng = np.random.default_rng(17)
         inputs = [rng.standard_normal((mixing.n, *shape)) for shape in ((10,), (1,), (), (10,))]
-        serial = [large_gossip["ring400"].fast_goss(s) for s in inputs]
-        op = MultiGossipOperator.from_mixing(mixing)
-        start = threading.Barrier(4)
+        for K, kernel in ((1, "neighbour"), (None, "folded")):
+            reference = MultiGossipOperator.from_mixing(mixing, K=K)
+            serial = [reference.fast_goss(s) for s in inputs]
+            op = MultiGossipOperator.from_mixing(mixing, K=K)
+            start = threading.Barrier(4)
 
-        def work(k):
-            start.wait(timeout=60)
-            return [op.fast_goss(inputs[(k + j) % 4]) for j in range(4)]
+            def work(k):
+                start.wait(timeout=60)
+                return [op.fast_goss(inputs[(k + j) % 4]) for j in range(4)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(work, k) for k in range(4)]
-                results = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert op.kernel == "neighbour"
-        for k, outs in enumerate(results):
-            for j, out in enumerate(outs):
-                assert np.array_equal(out, serial[(k + j) % 4]), (k, j)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(work, k) for k in range(4)]
+                    results = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert op.kernel == kernel
+            for k, outs in enumerate(results):
+                for j, out in enumerate(outs):
+                    assert np.array_equal(out, serial[(k + j) % 4]), (kernel, k, j)
 
     @pytest.mark.parametrize("label", LARGE)
     def test_matches_mbar(self, large_gossip, label):
@@ -375,9 +420,11 @@ class TestNeighbourKernel:
         # importing scipy.sparse alone adds about 18 MiB of peak resident memory
         code = (
             "import sys; import numpy as np; import gossipskip as gs\n"
-            "op = gs.MultiGossipOperator.from_mixing(gs.metropolis_weights(gs.build_ring(400)))\n"
-            "op.fast_goss(np.ones((400, 3)))\n"
-            "assert op.kernel == 'neighbour'\n"
+            "mixing = gs.metropolis_weights(gs.build_ring(400))\n"
+            "for K, kernel in ((1, 'neighbour'), (None, 'folded')):\n"
+            "    op = gs.MultiGossipOperator.from_mixing(mixing, K=K)\n"
+            "    op.fast_goss(np.ones((400, 3)))\n"
+            "    assert op.kernel == kernel\n"
             "print('scipy' in sys.modules)\n"
         )
         src = str(Path(gossipskip.__file__).resolve().parent.parent)

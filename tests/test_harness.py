@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import re
@@ -15,13 +17,14 @@ import pytest
 
 from gossipskip import (
     AlgorithmSpec,
+    MultiGossipOperator,
     RunConfig,
     metropolis_weights,
     mg_skip_run,
     parse_config,
     run_experiment,
 )
-from gossipskip import harness
+from gossipskip import cli, harness
 from gossipskip.harness import (
     TRACE_COLUMNS,
     build_gossip,
@@ -363,7 +366,9 @@ class TestRunExperiment:
 
     def test_manifest_records_gossip_kernels(self, tmp_path):
         small = BASE_CONFIG + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
-        # ring-240 is above the gather crossover (240 >= 20 * 3 nonzeros per row + 100)
+        # ring-240 is above the gather crossover (240 >= 20 * 3 nonzeros per row + 100);
+        # mg_skip's K = 66 rounds fold into one product (2 * 240 < 66 * 160), the
+        # one-round operator's do not
         large = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
             "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
         )
@@ -376,13 +381,55 @@ class TestRunExperiment:
         assert kernels == {
             "small": {"mg_skip_p1": "dense", "mg_skip_p0.5": "dense", "puda_nids": "dense"},
             "large": {
-                "mg_skip_p1": "neighbour",
-                "mg_skip_p0.5": "neighbour",
+                "mg_skip_p1": "folded",
+                "mg_skip_p0.5": "folded",
                 "puda_nids": "neighbour",
             },
         }
         rows = (tmp_path / "large" / "mg_skip_p1__seed0.csv").read_text().splitlines()
         assert rows[0] == ",".join(TRACE_COLUMNS) and len(rows) == 1 + 10
+
+    def test_operator_built_once_per_experiment(self, tmp_path, monkeypatch):
+        """A ring-240 sweep over three p values builds one folded operator's Mbar once."""
+        built = []
+        build = MultiGossipOperator.mbar.func
+        monkeypatch.setattr(MultiGossipOperator.mbar, "func", lambda op: built.append(op) or build(op))
+        text = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
+            "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
+        )
+        config = tmp_path / "ring240.cfg"
+        config.write_text(text)
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--p", "1,0.5,0.34"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(built) == 1 and built[0].kernel == "folded"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["gossip_kernels"] == dict.fromkeys(
+            ["mg_skip_p1", "mg_skip_p0.5", "mg_skip_p0.34"], "folded"
+        )
+
+    def test_manifest_lists_runs(self, tmp_path):
+        text = (
+            BASE_CONFIG.replace("run.seeds = 0", "run.seeds = 0,1")
+            + "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
+        )
+        run_experiment(parse_config(text), tmp_path, config_text=text)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["reference_seconds"] > 0.0
+        runs = manifest["runs"]
+        assert [(run["algorithm"], run["seed"]) for run in runs] == [
+            (name, seed) for name in ("mg_skip_p1", "mg_skip_p0.5", "puda_nids") for seed in (0, 1)
+        ]
+        assert {run["stop_reason"] for run in runs} == {"horizon"}
+        for run in runs:
+            assert run["run_seconds"] > 0.0
+            assert run["iterations_per_second"] == pytest.approx(10 / run["run_seconds"], rel=1e-5)
+        # the engine's one run is listed under both seeds
+        assert runs[4] == dict(runs[5], seed=0)
+        early = text.replace("run.T = 10", "run.T = 5000").replace("run.tol = 0.0", "run.tol = 1e-5")
+        run_experiment(parse_config(early), tmp_path / "early", config_text=early)
+        runs = json.loads((tmp_path / "early" / "manifest.json").read_text())["runs"]
+        assert {run["stop_reason"] for run in runs} == {"tol"}
 
     def test_early_stop_fewer_rows(self, tmp_path):
         text = BASE_CONFIG.replace("run.T = 10", "run.T = 5000").replace(

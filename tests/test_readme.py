@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import gossipskip
+from gossipskip import gossip
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -23,3 +24,17 @@ def test_cited_names_exist():
     names = set(re.findall(r"\bgs\.(\w+)", README))
     assert names, "README cites no gs.<name>"
     assert sorted(name for name in names if not hasattr(gossipskip, name)) == []
+
+
+def test_kernel_rules_quote_gossip_constants():
+    """Every kernel-rule number the README quotes is the one ``gossip.py`` uses."""
+    section = README.split("## Gossip kernels", 1)[1].split("\n## ", 1)[0]
+    gather = (str(gossip._GATHER_COST_PER_SLOT), str(gossip._GATHER_COST_PER_ROW))
+    cap, fold = str(gossip._FOLD_MAX_NODES), str(gossip._FOLD_COST_PER_NODE)
+    assert re.findall(r"Used when\s+`n < (\d+)·width \+ (\d+)`", section) == [gather]
+    assert re.findall(r"(\d+) entries per slot plus (\d+)", section) == [gather]
+    assert set(re.findall(r"(\d+)·width \+ (\d+)", section)) == {gather}
+    rule = r"when\s+also\s+`n ≤ (\d+)`\s+and\s+`(\d+)·n < K·\((\d+)·width \+ (\d+)\)`"
+    assert re.findall(rule, section) == [(cap, fold, *gather)]
+    assert re.findall(r"about (\d+) dense-row entries per\s+node", section) == [fold]
+    assert re.findall(r"above\s+n = (\d+)", section) == [cap]
