@@ -221,7 +221,9 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
         except DivergenceError as err:
             raise DivergenceError(f"{err} at t={t}", result("divergence")) from None
         comm += theta * rounds
-        rel = float(np.linalg.norm(state.x - x_star_stack)) / norm_star
+        # np.linalg.norm's Frobenius arithmetic, without its dispatch
+        d = (state.x - x_star_stack).ravel()
+        rel = math.sqrt(d.dot(d)) / norm_star
         comms.append(comm)
         rels.append(rel)
         if psi:

@@ -19,7 +19,15 @@ from .algorithms import (
     mg_skip_step,
 )
 from .gossip import MultiGossipOperator, chebyshev_eta, default_K, verify_prop1
-from .harness import ExperimentSpec, build_graph, build_problem, parse_config, run_experiment
+from .harness import (
+    ExperimentSpec,
+    UncertifiedReferenceError,
+    build_graph,
+    build_problem,
+    parse_config,
+    reference_certifies,
+    run_experiment,
+)
 from .problems import centralized_solve
 from .topology import build_random_connectivity, build_ring, metropolis_weights
 
@@ -73,6 +81,14 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     reference = centralized_solve(problem, tol=1e-13)
 
     checks: list[tuple[str, str, bool]] = []
+
+    checks.append(
+        (
+            "reference x* certified",
+            f"error bound {reference.relative_error_bound:.1e} relative (run.tol {spec.tol:g})",
+            reference_certifies(reference, spec.tol),
+        )
+    )
 
     sym = float(np.abs(mixing.w - mixing.w.T).max())
     row = float(np.abs(mixing.w.sum(axis=1) - 1.0).max())
@@ -212,7 +228,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
-    return command(args, spec, config_text)
+    try:
+        return command(args, spec, config_text)
+    except UncertifiedReferenceError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

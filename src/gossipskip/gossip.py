@@ -167,16 +167,20 @@ class MultiGossipOperator:
         """Dense ``M_K``: the recursion of :meth:`fast_goss` applied to ``I``.
 
         Built ``_MBAR_BLOCK`` columns of ``I`` at a time into one ``(n, n)``
-        array, so the build holds ``Mbar`` and one block's temporaries.
-        Read-only.
+        array, so the build holds ``Mbar`` and one block's temporaries; the
+        neighbour table keeps no weight layout the build made.  Read-only.
         """
         n = self.n
+        apply_w = self._apply_w
+        if self.kernel != "dense":
+            # the blocks' weight layouts serve only the build, so they are not kept
+            apply_w = partial(apply_w, layouts={})
         m = np.empty((n, n))
         for j in range(0, n, _MBAR_BLOCK):
             cols = min(_MBAR_BLOCK, n - j)
             eye = np.zeros((n, cols))
             eye[j : j + cols] = np.eye(cols)
-            m[:, j : j + cols] = _chebyshev(self._apply_w, eye, self.K, self.eta)
+            m[:, j : j + cols] = _chebyshev(apply_w, eye, self.K, self.eta)
         m.setflags(write=False)
         return m
 
@@ -234,7 +238,8 @@ class _NeighbourTable:
     ``wts_by_shape`` maps each trailing state shape met so far to a
     read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the
     multiply then runs over contiguous operands instead of broadcasting
-    ``wts`` with stride 0, which took about half of each round.
+    ``wts`` with stride 0, which took about half of each round.  A call
+    given its own ``layouts`` dict caches its layout there instead.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -248,14 +253,15 @@ class _NeighbourTable:
         self.wts[slot, rows] = w[rows, cols]
         self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        wts = self.wts_by_shape.get(s.shape[1:])
+    def __call__(self, s: np.ndarray, layouts: dict | None = None) -> np.ndarray:
+        layouts = self.wts_by_shape if layouts is None else layouts
+        wts = layouts.get(s.shape[1:])
         if wts is None:
             column = self.wts.reshape(self.wts.shape + (1,) * (s.ndim - 1))
             wts = np.broadcast_to(column, self.wts.shape + s.shape[1:]).copy()
             wts.setflags(write=False)
             # concurrent first calls build equal copies; every caller uses the stored one
-            wts = self.wts_by_shape.setdefault(s.shape[1:], wts)
+            wts = layouts.setdefault(s.shape[1:], wts)
         g = np.take(s, self.idx, axis=0)
         g *= wts
         return g.sum(axis=0)
@@ -271,8 +277,10 @@ def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
     s_prev = s_cur = states
     for _ in range(K):
         s_next = apply_w(s_cur)
-        s_next *= 1.0 + eta
-        s_next -= eta * s_prev
+        # at eta = 0 both updates keep every finite value (a -0.0 would become +0.0)
+        if eta:
+            s_next *= 1.0 + eta
+            s_next -= eta * s_prev
         s_prev, s_cur = s_cur, s_next
     return s_cur
 

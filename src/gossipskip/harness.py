@@ -27,9 +27,11 @@ Outputs are one CSV per (algorithm, seed) run with the fixed column
 order ``algorithm, seed, t, theta, comm_rounds, grad_evals, rel_err,
 psi``, a ``summary.csv`` with iterations/communication to tolerance and
 speedup ratios against a declared baseline row, and a ``manifest.json``
-holding the config hash, versions, the gossip kernels, each run's stop
-reason and wall-clock timings (timings never enter the data files, so
-reruns are byte-identical).
+holding the config hash, versions, the gossip kernels, the reference's
+certified error bound, each run's stop reason and wall-clock timings
+(timings never enter the data files, so reruns are byte-identical).  An
+experiment whose ``run.tol`` is not well above the reference's certified
+relative error is refused before any run.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .gossip import MultiGossipOperator, default_K
 from .problems import (
     L1Reg,
     ProblemInstance,
+    ReferenceSolution,
     centralized_solve,
     gen_least_squares,
     gen_logistic,
@@ -67,6 +70,8 @@ __all__ = [
     "build_problem",
     "build_gossip",
     "run_experiment",
+    "reference_certifies",
+    "UncertifiedReferenceError",
     "TRACE_COLUMNS",
 ]
 
@@ -83,6 +88,9 @@ TRACE_COLUMNS = (
 
 # the one deterministic primal-dual engine baseline; every other kind skips
 _ENGINE_KIND = "puda_nids"
+
+# a run stopping at rel_err < tol needs x* certified to this fraction of tol
+_REFERENCE_MARGIN = 1e-3
 
 
 def _typed(cast, expects: str, text: str):
@@ -330,6 +338,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
     )
 
 
+class UncertifiedReferenceError(ValueError):
+    """The reference ``x*`` is not certified well below ``run.tol``."""
+
+
+def reference_certifies(reference: ReferenceSolution, tol: float) -> bool:
+    """Whether ``reference`` can measure runs that stop at ``rel_err < tol``: its
+    certified relative error is at most ``1e-3 * tol``.  Any reference can when
+    ``tol`` is 0 (no stop on tolerance)."""
+    return tol <= 0.0 or reference.relative_error_bound <= _REFERENCE_MARGIN * tol
+
+
 def build_graph(spec: ExperimentSpec) -> Graph:
     graph = spec.graph
     if graph["kind"] == "ring":
@@ -400,17 +419,25 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     run is listed under every seed.  A folded operator builds ``Mbar`` in
     the first run that gossips with it, so that run's time includes the
     build.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
 
+    Raises :class:`UncertifiedReferenceError`, before anything is written,
+    when the reference does not certify ``spec.tol`` (see
+    :func:`reference_certifies`).
+    """
+    started = time.time()
     graph = build_graph(spec)
     mixing = metropolis_weights(graph)
     problem = build_problem(spec, mixing)
     clock = time.perf_counter()
     reference = centralized_solve(problem, tol=1e-13)
     reference_seconds = time.perf_counter() - clock
+    if not reference_certifies(reference, spec.tol):
+        raise UncertifiedReferenceError(
+            f"run.tol = {spec.tol:g} needs x* certified to {_REFERENCE_MARGIN * spec.tol:.1e} "
+            f"relative; its certified bound is {reference.relative_error_bound:.1e}"
+        )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows, runs = [], []
     kernels: dict[str, str] = {}
@@ -464,6 +491,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         "rho": mixing.rho,
         "gossip_kernels": kernels,
         "reference_residual": reference.residual,
+        "reference_error_bound": reference.relative_error_bound,
         "reference_iterations": reference.iterations,
         "reference_seconds": _significant(reference_seconds),
         "runs": runs,

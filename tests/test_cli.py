@@ -76,6 +76,15 @@ class TestVerify:
     def test_missing_config(self, capsys):
         assert main(["verify", "--config", "missing.cfg"]) == 2
 
+    def test_reports_reference_certificate(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-7"))
+        assert main(["verify", "--config", str(config), "--steps", "5"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "x* certified" in line]
+        assert len(lines) == 1 and "PASS" in lines[0]
+        bound = float(lines[0].split("error bound ")[1].split()[0])
+        assert bound <= 1e-10
+
     def test_skip1_first_algorithm_omits_contraction_row(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text(
@@ -128,6 +137,24 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--p", "1,0.5"]])
+    def test_uncertified_reference_exit_2(self, tmp_path, capsys, command):
+        """A run.tol the reference cannot certify 1000-fold is refused before any run:
+        this logistic x* is certified to about 1e-13 relative, run.tol wants 1e-15."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-12").replace(
+                "problem.kind = least_squares\nproblem.d = 4\nproblem.mu = 1.0\nproblem.kappa = 6.0",
+                "problem.kind = logistic\nproblem.d = 4\nproblem.samples_per_node = 10",
+            )
+        )
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.tol = 1e-12 needs x* certified")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

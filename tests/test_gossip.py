@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,34 @@ class TestMbar:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n * n + (3 * width + 4) * n * _MBAR_BLOCK)
+
+    def test_build_keeps_no_weight_layout(self):
+        """After ring-400's Mbar is built the operator holds Mbar and the neighbour
+        table's ``idx`` and ``wts`` only: the (width, n, block) weight layouts the
+        build made (0.46 MB) are not kept."""
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
+        n, width = op.n, 3
+        tracemalloc.start()
+        try:
+            op.mbar
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.kernel == "folded" and op._apply_w.wts_by_shape == {}
+        assert held <= 8 * (n * n + 2 * width * n) + 16 * 1024
+
+    def test_eta0_rounds_match_full_update(self, ring15_mixing):
+        """At eta = 0 the recursion skips its momentum updates and gives the
+        values the full updates give."""
+        states = np.random.default_rng(3).standard_normal((15, 4))
+        prev = cur = states
+        for _ in range(3):
+            nxt = ring15_mixing.w @ cur
+            nxt *= 1.0
+            nxt -= 0.0 * prev
+            prev, cur = cur, nxt
+        got = _chebyshev(partial(np.matmul, ring15_mixing.w), states, 3, 0.0)
+        assert np.array_equal(got, cur)
 
     def test_k1_eta0_reduces_to_w(self, ring15_mixing):
         op = MultiGossipOperator(mixing=ring15_mixing, K=1, eta=0.0)

@@ -18,7 +18,9 @@ import pytest
 from gossipskip import (
     AlgorithmSpec,
     MultiGossipOperator,
+    ReferenceSolution,
     RunConfig,
+    centralized_solve,
     metropolis_weights,
     mg_skip_run,
     parse_config,
@@ -308,6 +310,54 @@ class TestParseConfig:
         text = BASE_CONFIG.replace("summary.baseline = mg_skip_p1", "summary.baseline = nope")
         with pytest.raises(ValueError, match="baseline"):
             parse_config(text)
+
+
+class TestReferenceCertificate:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_reference_certified(self, path):
+        """A shipped config never runs against an x* certified above 1e-3 * run.tol."""
+        spec = parse_config(path.read_text(), base_dir=path.parent)
+        problem = build_problem(spec, metropolis_weights(build_graph(spec)))
+        reference = centralized_solve(problem, tol=1e-13)
+        assert spec.tol > 0.0
+        assert reference.relative_error_bound <= 1e-3 * spec.tol
+        assert harness.reference_certifies(reference, spec.tol)
+
+    def test_benchmark_workloads_reference_certified(self):
+        for workload in _bench_workloads().values():
+            for seed in (0, 1):
+                spec = parse_config(workload.config_text(seed))
+                problem = build_problem(spec, metropolis_weights(build_graph(spec)))
+                reference = centralized_solve(problem, tol=1e-13)
+                assert harness.reference_certifies(reference, spec.tol), workload.name
+
+    def test_zero_tolerance_accepts_any_reference(self):
+        loose = ReferenceSolution(xstar=np.ones(2), residual=1.0, iterations=1, error_bound=1.0)
+        assert harness.reference_certifies(loose, 0.0)
+        assert not harness.reference_certifies(loose, 1e-7)
+
+    def test_manifest_records_certificate(self, tmp_path):
+        """Least squares is one direct solve (0 iterations); the logistic L1
+        problem iterates.  Both bounds sit far below 1e-13 relative."""
+        logistic = re.sub(
+            r"problem\.kind = least_squares.*?problem\.seed = 1\n",
+            "problem.kind = logistic\nproblem.d = 5\nproblem.samples_per_node = 20\nproblem.seed = 1\n",
+            BASE_CONFIG,
+            flags=re.S,
+        )
+        iterations = {}
+        for label, text in (("ls", BASE_CONFIG), ("logistic", logistic)):
+            run_experiment(parse_config(text), tmp_path / label, config_text=text)
+            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+            assert 0.0 <= manifest["reference_error_bound"] <= 1e-13
+            iterations[label] = manifest["reference_iterations"]
+        assert iterations["ls"] == 0 and iterations["logistic"] > 0
+
+    def test_refuses_tolerance_below_certificate(self, tmp_path):
+        text = BASE_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-14")
+        with pytest.raises(harness.UncertifiedReferenceError, match="run.tol = 1e-14"):
+            run_experiment(parse_config(text), tmp_path / "out", config_text=text)
+        assert not (tmp_path / "out").exists()
 
 
 class TestAlgorithmSpec:

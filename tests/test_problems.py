@@ -21,6 +21,7 @@ from gossipskip import (
     l1_prox,
     load_libsvm,
     logistic_from_parts,
+    metropolis_weights,
 )
 
 
@@ -295,11 +296,84 @@ class TestCentralizedSolve:
         )
 
     def test_iteration_cap_carries_best(self):
-        p = gen_least_squares(4, 6, 1.0, 50.0, seed=0)
+        # least squares with the zero regularizer is one direct solve, so the
+        # cap is exercised on an L1 problem, which iterates
+        p = gen_least_squares(4, 6, 1.0, 50.0, seed=0, reg=L1Reg(weight=0.1))
         with pytest.raises(CentralizedSolveError) as err:
             centralized_solve(p, tol=1e-14, max_iter=3)
         assert err.value.best.iterations == 3
         assert err.value.best.xstar.shape == (6,)
+
+    def test_ring400_half_over_gap_matches_lstsq(self):
+        """Ring-400 least squares at kappa = 0.5/(1-rho) ~ 6,079 (``configs/ring15.cfg``
+        with ``graph.n = 400``): the direct solve agrees with least squares on the
+        stacked ``A_i, b_i`` and zeroes the gradient to rounding.  Proximal gradient
+        stopped on its residual was 4.6e-8 off here after 99,254 iterations."""
+        mixing = metropolis_weights(build_ring(400))
+        p = gen_least_squares(400, 10, 1.0, 0.5 / (1.0 - mixing.rho), seed=1)
+        ref = centralized_solve(p, tol=1e-13)
+        a = np.vstack([f.a for f in p.losses])
+        b = np.concatenate([f.b for f in p.losses])
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.linalg.norm(ref.xstar - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(p.gradient_average(ref.xstar)) <= 1e-12 * p.L * np.linalg.norm(
+            ref.xstar
+        )
+        assert ref.iterations == 0
+        assert ref.relative_error_bound <= 1e-3 * 1e-7
+
+    @staticmethod
+    def diagonal_l1_instance(seed):
+        """Diagonal ``A_i``, so ``F = 0.5 x^T D x - c^T x + w ||x||_1`` with
+        ``D = mean A_i^2`` and ``c = mean A_i b_i``; returns it with its
+        closed-form minimizer ``soft(c, w) / D``."""
+        rng = np.random.default_rng(seed)
+        n, d = 5, 8
+        kappa = 10.0 ** rng.uniform(1.0, 3.0)
+        diags = np.sqrt(np.exp(rng.uniform(0.0, np.log(kappa), (n, d))))
+        targets = rng.standard_normal((n, d))
+        losses = tuple(
+            QuadraticLoss(
+                a=np.diag(s), b=t, mu=float((s**2).min()), lsmooth=float((s**2).max())
+            )
+            for s, t in zip(diags, targets)
+        )
+        c = (diags * targets).mean(axis=0)
+        weight = float(np.median(np.abs(c)))
+        p = ProblemInstance(losses=losses, reg=L1Reg(weight=weight), dim=d)
+        xstar = l1_prox(1.0, weight, c) / (diags**2).mean(axis=0)
+        return p, xstar
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_error_bound_holds_at_every_truncation(self, seed):
+        p, xstar = self.diagonal_l1_instance(seed)
+        assert np.count_nonzero(xstar) < p.dim  # the L1 term zeroes coordinates
+        for max_iter in (1, 2, 5, 20):
+            try:
+                ref = centralized_solve(p, tol=1e-13, max_iter=max_iter)
+            except CentralizedSolveError as err:
+                ref = err.best
+            assert ref.error_bound >= np.linalg.norm(ref.xstar - xstar), max_iter
+        ref = centralized_solve(p, tol=1e-13)
+        assert np.linalg.norm(ref.xstar - xstar) <= ref.error_bound + 1e-15
+        assert ref.error_bound <= 1e-13 * np.linalg.norm(ref.xstar)
+
+    def test_accelerated_on_ill_conditioned_logistic(self):
+        """kappa ~ 2,846: restarted FISTA certifies 1e-13 within O(sqrt(kappa))
+        iterations; proximal gradient would need O(kappa log(1/tol))."""
+        p = gen_logistic(20, 22, 100, gamma1=0.001, gamma2=0.001, seed=1)
+        assert 2800.0 < p.kappa < 2900.0
+        ref = centralized_solve(p, tol=1e-13)
+        assert ref.iterations <= 1000
+        assert ref.error_bound <= 1e-13 * np.linalg.norm(ref.xstar)
+
+    def test_relative_bound_falls_back_to_absolute_at_zero(self):
+        # an L1 weight above every |c_j| puts x* at the origin
+        loss = QuadraticLoss(a=np.eye(2), b=np.array([0.5, -0.3]), mu=1.0, lsmooth=1.0)
+        p = ProblemInstance(losses=(loss,), reg=L1Reg(weight=1.0), dim=2)
+        ref = centralized_solve(p, tol=1e-13)
+        assert not ref.xstar.any()
+        assert ref.relative_error_bound == ref.error_bound == 0.0
 
     def test_bad_tolerance(self):
         p = gen_least_squares(2, 3, 1.0, 2.0, seed=0)
