@@ -18,12 +18,13 @@ mode by mode in the eigenbasis of ``W``, and the
 exact one-step conditional-expectation contraction check against
 ``zeta = max{(1-alpha*mu)^2, (1-alpha*L)^2, 1-p^2/5}``.
 
-The deterministic baselines run on a three-matrix primal-dual engine
-with ``A = B = H = (I + Mbar)/2``, applied through the gossip operator,
-and ``C`` either ``H`` (NIDS) or ``I``; its conditions reduce to every
-non-consensus eigenvalue of ``Mbar`` lying in ``[-1, 1)``, checked on the
-operator's spectrum.  The ``C = I`` preset reproduces the main iteration
-at ``p = 1`` exactly.
+The deterministic baselines run on a primal-dual engine that applies
+``H = (I + Mbar)/2`` once per iteration, through the gossip operator:
+the published NIDS recursion (``C = H``) or the three-matrix form with
+``A = B = H`` and ``C = I``, which reproduces the main iteration at
+``p = 1`` exactly.  Their conditions reduce to every non-consensus
+eigenvalue of ``Mbar`` lying in ``[-1, 1)``, checked on the operator's
+spectrum.
 """
 
 from __future__ import annotations
@@ -391,14 +392,24 @@ def check_contraction(
 
 @dataclass(frozen=True)
 class PUDAConfig:
-    """Three-matrix primal update engine with ``A = B = H = (I + Mbar)/2``.
+    """Primal-dual engine on ``H = (I + Mbar)/2``, one ``H`` per iteration.
 
-    Iterates ``z <- B z_prev + C (x - x_prev) + alpha * (grad_prev - grad)``
-    followed by ``x <- prox_{alpha R}(A z)``, where ``C`` is ``H`` when
-    ``c_is_h`` and ``I`` otherwise.  ``H`` is applied through the gossip
-    operator, and a run counts ``gossip.K`` rounds per iteration.  The
-    convergence conditions ``A^2 <= B <= I``, ``B`` strictly below 1 off
-    the consensus direction, and ``0 <= C <= 2I`` hold exactly when every
+    With ``w`` the prox input, ``x = prox_{alpha R}(w)`` and ``g`` the
+    stacked gradient at ``x``, an iteration is
+
+    - ``c_is_h`` (NIDS; Li, Shi & Yan, arXiv:1704.07807):
+      ``w <- w - x + H(2x - x_prev - alpha g + alpha g_prev)``;
+    - otherwise (``C = I``):
+      ``w <- H(w + x - x_prev - alpha g + alpha g_prev)``, the three-matrix
+      form ``z <- B z_prev + C (x - x_prev) + alpha (g_prev - g)``,
+      ``w = A z`` with ``A = B = H``;
+
+    then ``x <- prox_{alpha R}(w)``.  Without a regularizer ``w = x``, and
+    the two coincide.  ``H`` is applied through the gossip operator, one
+    ``fast_goss`` per iteration, and a run counts ``gossip.K`` rounds per
+    iteration.  The convergence conditions (``A^2 <= B <= I``, ``B``
+    strictly below 1 off the consensus direction, ``0 <= C <= 2I``; for
+    NIDS, ``0 <= H <= I`` with 1 simple) hold exactly when every
     non-consensus eigenvalue of ``Mbar`` lies in ``[-1, 1)``; construction
     checks that on :attr:`MultiGossipOperator.spectrum`.
     """
@@ -425,16 +436,17 @@ def puda_mgskip_p1(gossip: MultiGossipOperator) -> PUDAConfig:
 
 
 def puda_nids(gossip: MultiGossipOperator) -> PUDAConfig:
-    """``C = H``: NIDS, on the one-round operator ``Mbar = W``."""
+    """``C = H``: the published NIDS recursion, run on the one-round operator ``Mbar = W``."""
     return PUDAConfig(gossip=gossip, c_is_h=True)
 
 
 @dataclass(frozen=True)
 class PUDAState:
-    """Engine iterate, its predecessor, the previous ``z`` and gradient, and ``H z_prev``.
+    """Engine iterate, its predecessor, the last ``H`` input and gradient, and prox input.
 
-    ``hz_prev`` is the previous prox input, kept so that ``C = I`` applies
-    ``H`` once per iteration.
+    ``z_prev`` is the vector ``H`` was last applied to, and ``hz_prev`` the
+    prox input ``w`` that gave ``x`` (``H z_prev`` under ``C = I``); keeping
+    it lets both presets apply ``H`` once per iteration.
     """
 
     x: np.ndarray
@@ -453,13 +465,15 @@ def puda_step(
     """One engine iteration."""
     g = problem.gradient_stack(state.x)
     dx = state.x - state.x_prev
-    z = cfg.h(state.z_prev + dx) if cfg.c_is_h else state.hz_prev + dx
+    # C = H: 2x - x_prev; C = I: the previous prox input plus x - x_prev
+    z = (state.x if cfg.c_is_h else state.hz_prev) + dx
     z += alpha * (state.grad_prev - g)
     hz = cfg.h(z)
-    x_new = problem.prox_stack(alpha, hz)
+    w = state.hz_prev - state.x + hz if cfg.c_is_h else hz
+    x_new = problem.prox_stack(alpha, w)
     if not np.isfinite(x_new).all():
         raise DivergenceError("non-finite iterate")
-    return PUDAState(x=x_new, x_prev=state.x, z_prev=z, grad_prev=g, hz_prev=hz)
+    return PUDAState(x=x_new, x_prev=state.x, z_prev=z, grad_prev=g, hz_prev=w)
 
 
 def puda_run(

@@ -74,7 +74,7 @@ _GATHER_COST_PER_ROW = 100
 # ring-512 9.8; random n = 350 (width 11) 2.0, n = 400 (width 13) 2.3, n = 512
 # (width 11) 4.0.  Those put the factor between 1.1 and 3.3 (the dense cache
 # jump again); 2 keeps every misjudged call within 2x of the faster kernel.
-# The cap keeps Mbar at 2 MiB, and its build (0.1 s at ring-400, 0.85 s at
+# The cap keeps Mbar at 2 MiB, and its build (0.06 s at ring-400, 0.45 s at
 # ring-800) within a few dozen calls' saving.
 _FOLD_COST_PER_NODE = 2
 _FOLD_MAX_NODES = 512
@@ -82,6 +82,18 @@ _FOLD_MAX_NODES = 512
 # Mbar is built this many columns of I at a time, so the gather's
 # (width, n, columns) temporaries stay small next to Mbar itself.
 _MBAR_BLOCK = 32
+
+# Mbar is built from ceil(K/2) rounds and two dense products (see
+# _half_round_build) instead of K rounds when (K // 2) * row > 5 * n, row being
+# the per-row cost of one round in dense-row entries: n on the dense kernel,
+# 20 * width + 100 on the gather.  The products, lower triangles only, cost
+# about one n x n x n product, which the K // 2 rounds saved must pay for.
+# Measured K at which both builds take the same time, one BLAS thread, 2-core
+# x86-64 VM: ring-45 (dense) 10-12, ring-160 about 10, ring-200 12, ring-400 24,
+# ring-512 28; the rule switches at K = 12, 12, 14, 26 and 34, so the half-round
+# build is never the slower one.  Ring-15 (K = 4) and every K = 1 operator keep
+# the K-round build, bit for bit.
+_HALF_BUILD_COST_PER_NODE = 5
 
 
 def chebyshev_eta(rho: float) -> float:
@@ -147,13 +159,18 @@ class MultiGossipOperator:
           ``n <= 512`` and ``2 * n < K * (20 * width + 100)``;
         - ``"neighbour"``: ``K`` rounds of the neighbour gather otherwise.
         """
-        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
-        gather_row = _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
+        gather_row = self._gather_row
         if self.n < gather_row:
             return "dense"
         if self.n <= _FOLD_MAX_NODES and _FOLD_COST_PER_NODE * self.n < self.K * gather_row:
             return "folded"
         return "neighbour"
+
+    @cached_property
+    def _gather_row(self) -> int:
+        """Per-row cost of one gathered round, in dense-row entries: ``20 * width + 100``."""
+        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
+        return _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
 
     @cached_property
     def _apply_w(self):
@@ -164,23 +181,29 @@ class MultiGossipOperator:
 
     @cached_property
     def mbar(self) -> np.ndarray:
-        """Dense ``M_K``: the recursion of :meth:`fast_goss` applied to ``I``.
+        """Dense ``M_K``, the matrix :meth:`fast_goss` applies.  Read-only.
 
-        Built ``_MBAR_BLOCK`` columns of ``I`` at a time into one ``(n, n)``
-        array, so the build holds ``Mbar`` and one block's temporaries; the
-        neighbour table keeps no weight layout the build made.  Read-only.
+        Built from the columns of ``I``, ``_MBAR_BLOCK`` at a time.  Where
+        ``K`` rounds cost little next to a dense product (see
+        ``_HALF_BUILD_COST_PER_NODE``), each block runs the ``K`` rounds of
+        :meth:`fast_goss` and is written into one ``(n, n)`` array.
+        Otherwise :func:`_half_round_build` runs ``ceil(K/2)`` rounds on the
+        blocks and finishes with two dense products, which agree with the
+        ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400) and hold
+        three ``(n, n)`` arrays while they run.  Either build keeps only
+        ``Mbar``: the neighbour table keeps no weight layout the build made.
         """
-        n = self.n
         apply_w = self._apply_w
         if self.kernel != "dense":
             # the blocks' weight layouts serve only the build, so they are not kept
             apply_w = partial(apply_w, layouts={})
-        m = np.empty((n, n))
-        for j in range(0, n, _MBAR_BLOCK):
-            cols = min(_MBAR_BLOCK, n - j)
-            eye = np.zeros((n, cols))
-            eye[j : j + cols] = np.eye(cols)
-            m[:, j : j + cols] = _chebyshev(apply_w, eye, self.K, self.eta)
+        round_row = self.n if self.kernel == "dense" else self._gather_row
+        if self.K // 2 * round_row > _HALF_BUILD_COST_PER_NODE * self.n:
+            m = _half_round_build(apply_w, self.n, self.K, self.eta)
+        else:
+            m = np.empty((self.n, self.n))
+            for cols, eye in _identity_blocks(self.n):
+                m[:, cols] = _chebyshev(apply_w, eye, self.K, self.eta)
         m.setflags(write=False)
         return m
 
@@ -216,14 +239,19 @@ class MultiGossipOperator:
         purely local.  Returns ``states - s_K`` where ``s_K`` follows
         the Chebyshev recursion from ``s_0 = s_{-1} = states``.  The
         folded kernel computes the same ``K`` rounds as one product with
-        ``Mbar``, which agrees with the recursion to rounding (``1.4e-14``
-        at ring-400 on unit normal states).
+        ``Mbar``, which agrees with the recursion to rounding (``1.5e-14``
+        at ring-400 on unit normal states).  ``states`` has ``n`` rows and
+        any trailing shape; every kernel treats the trailing axes as one
+        batch of columns.
         """
         states = np.asarray(states, dtype=float)
         if states.shape[0] != self.n:
             raise ValueError(
                 f"states has {states.shape[0]} rows, expected {self.n}"
             )
+        if states.ndim > 2:
+            # W and Mbar act on the node axis: the other axes are one batch of columns
+            return self.fast_goss(states.reshape(self.n, -1)).reshape(states.shape)
         if self.kernel == "folded":
             return states - self.mbar @ states
         return states - _chebyshev(self._apply_w, states, self.K, self.eta)
@@ -268,21 +296,70 @@ class _NeighbourTable:
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
-    """``s_K`` of ``s_{k+1} = (1 + eta) W s_k - eta s_{k-1}``, ``s_0 = s_{-1} = states``.
+    """``s_K`` of ``s_{k+1} = (1 + eta) W s_k - eta s_{k-1}``, ``s_0 = s_{-1} = states``."""
+    return _recurrence(apply_w, states, states, K, eta)[1]
+
+
+def _recurrence(apply_w, prev: np.ndarray | float, cur: np.ndarray, rounds: int, eta: float):
+    """``(s_{k-1}, s_k)`` after ``rounds`` rounds of the recursion from ``(prev, cur)``.
 
     ``apply_w`` returns a new array, which is updated in place; this
-    performs the same floating-point operations as the expression above,
-    and ``states`` is never written.
+    performs the same floating-point operations as the recursion's
+    expression, and neither input is ever written.
     """
-    s_prev = s_cur = states
-    for _ in range(K):
-        s_next = apply_w(s_cur)
+    for _ in range(rounds):
+        nxt = apply_w(cur)
         # at eta = 0 both updates keep every finite value (a -0.0 would become +0.0)
         if eta:
-            s_next *= 1.0 + eta
-            s_next -= eta * s_prev
-        s_prev, s_cur = s_cur, s_next
-    return s_cur
+            nxt *= 1.0 + eta
+            nxt -= eta * prev
+        prev, cur = cur, nxt
+    return prev, cur
+
+
+def _identity_blocks(n: int):
+    """``(columns, I[:, columns])`` for consecutive ``_MBAR_BLOCK``-wide column slices."""
+    for j in range(0, n, _MBAR_BLOCK):
+        cols = min(_MBAR_BLOCK, n - j)
+        eye = np.zeros((n, cols))
+        eye[j : j + cols] = np.eye(cols)
+        yield slice(j, j + cols), eye
+
+
+def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
+    """``M_K`` from ``h = ceil(K/2)`` rounds of the recursion and two dense products.
+
+    ``P_k``, the recursion's fundamental solution (``P_0 = I``,
+    ``P_{-1} = 0``), gives ``M_k = P_k - eta P_{k-1}`` and, since the
+    recursion shifts solutions, ``M_{a+b} = P_a M_b - eta P_{a-1} M_{b-1}``.
+    The build runs ``h`` rounds on each block of ``I`` to fill ``P_{h-2}``,
+    ``P_{h-1}`` and ``P_h``, then takes ``b = h`` and ``a = K - h``.  Each
+    column block of ``M_K`` is written over the one ``P`` that is not a
+    left operand, after its own columns of ``M_h`` and ``M_{h-1}`` are read,
+    so the build holds three ``(n, n)`` arrays and returns one of them.
+    The products give a block's rows from its diagonal block down; the
+    rows above are copied from earlier blocks, as ``M_K`` is symmetric.
+    """
+    h = (K + 1) // 2
+    p = [np.empty((n, n)) for _ in range(3)]  # P_{h-2}, P_{h-1}, P_h
+    for cols, eye in _identity_blocks(n):
+        p[0][:, cols], p[1][:, cols] = _recurrence(apply_w, 0.0, eye, h - 1, eta)
+        p[2][:, cols] = _recurrence(apply_w, p[0][:, cols], p[1][:, cols], 1, eta)[1]
+    # the left operands P_a, P_{a-1}, and the output
+    if K % 2:  # a = h - 1
+        left, left_prev, out = p[1], p[0], p[2]
+    else:  # a = h
+        left, left_prev, out = p[2], p[1], p[0]
+    for top in range(0, n, _MBAR_BLOCK):
+        cols = slice(top, top + _MBAR_BLOCK)
+        m_b = p[2][:, cols] - eta * p[1][:, cols]
+        m_b_prev = p[1][:, cols] - eta * p[0][:, cols]
+        # M_K is symmetric: its rows above this block are the columns left of it
+        block = left[top:] @ m_b
+        block -= eta * (left_prev[top:] @ m_b_prev)
+        out[top:, cols] = block
+        out[:top, cols] = out[cols, :top].T
+    return out
 
 
 @dataclass(frozen=True)

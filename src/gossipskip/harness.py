@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -416,7 +417,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
 
     ``manifest.json`` lists per ``(algorithm, seed)`` the run's stop
     reason, wall-clock seconds and iterations per second; the engine's one
-    run is listed under every seed.  A folded operator builds ``Mbar`` in
+    run is listed under every seed.  ``phase_seconds`` gives the wall-clock
+    seconds spent building the graph, the mixing matrix with its spectrum
+    and the problem, and writing the traces and ``summary.csv``, next to
+    ``reference_seconds``.  A folded operator builds ``Mbar`` in
     the first run that gossips with it, so that run's time includes the
     build.
 
@@ -425,9 +429,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     :func:`reference_certifies`).
     """
     started = time.time()
-    graph = build_graph(spec)
-    mixing = metropolis_weights(graph)
-    problem = build_problem(spec, mixing)
+    phases: dict[str, float] = {}
+    with _timed(phases, "graph"):
+        graph = build_graph(spec)
+    with _timed(phases, "mixing"):
+        mixing = metropolis_weights(graph)
+    with _timed(phases, "problem"):
+        problem = build_problem(spec, mixing)
     clock = time.perf_counter()
     reference = centralized_solve(problem, tol=1e-13)
     reference_seconds = time.perf_counter() - clock
@@ -468,7 +476,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
                     # traces already on disk stay there; attach the run identity
                     raise RuntimeError(f"run {alg.name}/seed{seed} failed: {err}") from err
                 seconds = time.perf_counter() - clock
-            write_trace_csv(out / f"{alg.name}__seed{seed}.csv", alg.name, seed, result)
+            with _timed(phases, "traces"):
+                write_trace_csv(out / f"{alg.name}__seed{seed}.csv", alg.name, seed, result)
             rows.append(_summary_row(alg.name, seed, result))
             runs.append(
                 {
@@ -481,7 +490,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
             )
 
     summary = _summarize(rows, spec)
-    _write_summary_csv(out / "summary.csv", summary)
+    with _timed(phases, "traces"):
+        _write_summary_csv(out / "summary.csv", summary)
 
     manifest = {
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
@@ -494,10 +504,21 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         "reference_error_bound": reference.relative_error_bound,
         "reference_iterations": reference.iterations,
         "reference_seconds": _significant(reference_seconds),
+        "phase_seconds": {name: _significant(value) for name, value in phases.items()},
         "runs": runs,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return summary
+
+
+@contextmanager
+def _timed(phases: dict[str, float], name: str):
+    """Add the wall-clock seconds the ``with`` block takes to ``phases[name]``."""
+    clock = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - clock
 
 
 def _significant(value: float) -> float:

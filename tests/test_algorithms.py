@@ -127,7 +127,9 @@ class TestRun:
         if runner == "puda_run":
             assert (res.thetas == 1).all()
 
-    @pytest.mark.parametrize("case", ["mg_skip_p1", "mg_skip_p0.34", "skip1", "puda_c_is_i"])
+    @pytest.mark.parametrize(
+        "case", ["mg_skip_p1", "mg_skip_p0.34", "skip1", "puda_c_is_i", "puda_c_is_h"]
+    )
     def test_gossip_calls_match_comm_rounds(self, bench, monkeypatch, case):
         """Each ``fast_goss`` call is ``K`` rounds, and every row counts the calls made so far."""
         count = 0
@@ -149,9 +151,10 @@ class TestRun:
 
         monkeypatch.setattr(MultiGossipOperator, "fast_goss", counting_goss)
         monkeypatch.setattr(algorithms, "_run", counting_run)
-        gossip = one_round(bench.mixing) if case == "skip1" else bench.gossip
-        if case == "puda_c_is_i":
-            res = puda_run(bench.problem, puda_mgskip_p1(gossip), bench.alpha, 200, bench.reference)
+        gossip = one_round(bench.mixing) if case in ("skip1", "puda_c_is_h") else bench.gossip
+        if case.startswith("puda"):
+            preset = puda_nids if case == "puda_c_is_h" else puda_mgskip_p1
+            res = puda_run(bench.problem, preset(gossip), bench.alpha, 200, bench.reference)
         else:
             p = 1.0 if case == "mg_skip_p1" else 0.34
             cfg = RunConfig(alpha=bench.alpha, p=p, T=200, tol=0.0, seed=4)
@@ -541,6 +544,34 @@ class TestPUDA:
         partial = err.value.result
         assert partial.iterations == 0
         assert np.isfinite(partial.state.x).all()
+
+    def test_nids_matches_published_recursion(self):
+        """On an L1 problem the ``C = H`` preset follows Li, Shi & Yan's
+        ``w+ = w - x + H(2x - x_prev - alpha g + alpha g_prev)``, ``x+ = prox(w+)``,
+        run here with a dense ``H = (I + W)/2``."""
+        mixing = metropolis_weights(build_random_connectivity(10, 0.5, seed=4))
+        problem = gen_least_squares(10, 6, 1.0, 8.0, seed=2, reg=L1Reg(weight=0.05))
+        reference = centralized_solve(problem, tol=1e-13)
+        alpha = 1.0 / problem.L
+        res = puda_run(problem, puda_nids(one_round(mixing)), alpha, 100, reference)
+        half = 0.5 * (np.eye(10) + mixing.w)
+        x = x_prev = g_prev = w = np.zeros((10, 6))
+        for _ in range(100):
+            g = problem.gradient_stack(x)
+            w = w - x + half @ (2 * x - x_prev - alpha * g + alpha * g_prev)
+            x, x_prev, g_prev = problem.prox_stack(alpha, w), x, g
+        assert np.abs(res.state.x - x).max() <= 1e-12
+        assert np.abs(res.state.hz_prev - w).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale, iterations", [(5.0, 637), (1.0, 504)])
+    def test_nids_iterations_on_ring15(self, bench, scale, iterations):
+        """NIDS on ring-15 reaches 1e-7 in 637 iterations at alpha = 1/(5L) and
+        504 at alpha = 1/L, one round each."""
+        alpha = 1.0 / (scale * bench.problem.L)
+        cfg = puda_nids(one_round(bench.mixing))
+        res = puda_run(bench.problem, cfg, alpha, 5000, bench.reference, tol=1e-7)
+        assert res.stopped and res.iterations == iterations
+        assert res.comm_rounds[-1] == iterations
 
     def test_l1_instance_engine_equivalence(self):
         mixing = metropolis_weights(build_random_connectivity(10, 0.5, seed=4))

@@ -70,10 +70,11 @@ class TestMbar:
         assert np.abs(mbar - mbar.T).max() <= 1e-12
         assert np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [15, 400])
+    @pytest.mark.parametrize("n", [15, 30])
     def test_bit_identical_to_hstack_of_blocks(self, n):
-        """The preallocated build gives exactly the columns the recursion gives
-        on slices of a dense identity, joined by ``np.hstack``."""
+        """Below the half-round rule (ring-15 at K = 4, ring-30 at K = 8) the
+        preallocated build gives exactly the columns the recursion gives on
+        slices of a dense identity, joined by ``np.hstack``."""
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(n)))
         eye = np.eye(n)
         blocks = [
@@ -83,11 +84,41 @@ class TestMbar:
         assert np.array_equal(op.mbar, np.hstack(blocks))
         assert not op.mbar.flags.writeable
 
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_half_round_build_matches_dense_recursion(self, n):
+        """Ring-200 (odd K = 55) and ring-400 (even K = 110) build Mbar from
+        ceil(K/2) rounds and two products; it equals the K-round dense
+        recursion on I entrywise to 1e-14."""
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(n)))
+        assert op.K == {200: 55, 400: 110}[n]
+        expected = _dense_recursion(op.mixing.w, np.eye(n), op.K, op.eta)
+        assert np.abs(op.mbar - expected).max() <= 1e-14
+        assert not op.mbar.flags.writeable
+
+    @pytest.mark.parametrize("K, rounds", [(None, 55), (24, 24), (26, 13)])
+    def test_build_gathers_half_the_rounds(self, monkeypatch, K, rounds):
+        """Ring-400's default build runs 55 gathered rounds, not 110, on each of
+        its 13 blocks of I; the rule switches at K = 26 ((K // 2) * 160 > 5 * 400)."""
+        calls = 0
+        gather = _NeighbourTable.__call__
+
+        def counted(table, s, layouts=None):
+            nonlocal calls
+            calls += 1
+            return gather(table, s, layouts)
+
+        monkeypatch.setattr(_NeighbourTable, "__call__", counted)
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)), K=K)
+        op.mbar
+        assert op.kernel == "folded"
+        assert calls == math.ceil(400 / _MBAR_BLOCK) * rounds == 13 * rounds
+
     def test_build_holds_mbar_and_one_block(self):
-        """Building ring-400's Mbar allocates at most n^2 doubles plus one block's
-        temporaries: the identity block and three iterates of the recursion, and
-        per gathered round a (width, n, block) product and weight layout (two
-        layouts, for the full and the last partial block)."""
+        """Building ring-400's Mbar allocates at most 3 n^2 doubles (the half-round
+        build's P_{h-2}, P_{h-1} and P_h, one of which becomes Mbar) plus one
+        block's temporaries: the identity block and three iterates of the
+        recursion, and per gathered round a (width, n, block) product and weight
+        layout (two layouts, for the full and the last partial block)."""
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
         n, width = op.n, 3
         tracemalloc.start()
@@ -96,7 +127,7 @@ class TestMbar:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n * n + (3 * width + 4) * n * _MBAR_BLOCK)
+        assert peak <= 8 * (3 * n * n + (3 * width + 4) * n * _MBAR_BLOCK)
 
     def test_build_keeps_no_weight_layout(self):
         """After ring-400's Mbar is built the operator holds Mbar and the neighbour
@@ -444,6 +475,21 @@ class TestNeighbourKernel:
         states = np.random.default_rng(3).standard_normal((op.n, *trailing))
         expected = states - _dense_recursion(op.mixing.w, states, op.K, op.eta)
         assert np.array_equal(op.fast_goss(states), expected)
+
+    @pytest.mark.parametrize("label", ("ring15",) + LARGE)
+    def test_trailing_axes_batch_as_columns(self, large_gossip, bench, label):
+        """Every kernel takes ``(n, 3, 2)`` states: the result is the one on the
+        ``(n, 6)`` view, reshaped back, and matches the dense recursion there."""
+        op = bench.gossip if label == "ring15" else large_gossip[label]
+        states = np.random.default_rng(19).standard_normal((op.n, 3, 2))
+        before = states.copy()
+        flat = states.reshape(op.n, 6)
+        out = op.fast_goss(states)
+        assert out.shape == states.shape
+        assert np.array_equal(out, op.fast_goss(flat).reshape(states.shape))
+        dense = flat - _dense_recursion(op.mixing.w, flat, op.K, op.eta)
+        assert np.abs(out.reshape(op.n, 6) - dense).max() <= 1e-13
+        assert np.array_equal(states, before)
 
     def test_no_scipy_import(self):
         # importing scipy.sparse alone adds about 18 MiB of peak resident memory

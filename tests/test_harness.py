@@ -466,7 +466,14 @@ class TestRunExperiment:
         run_experiment(parse_config(text), tmp_path, config_text=text)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["reference_seconds"] > 0.0
+        phases = manifest["phase_seconds"]
+        assert list(phases) == ["graph", "mixing", "problem", "traces"]
+        assert all(seconds > 0.0 for seconds in phases.values())
         runs = manifest["runs"]
+        # phases, reference and runs (the engine's counted once) are disjoint parts of the wall time
+        timed = sum(phases.values()) + manifest["reference_seconds"]
+        timed += sum(run["run_seconds"] for run in runs[:5])
+        assert timed <= manifest["wall_seconds"] + 1e-3
         assert [(run["algorithm"], run["seed"]) for run in runs] == [
             (name, seed) for name in ("mg_skip_p1", "mg_skip_p0.5", "puda_nids") for seed in (0, 1)
         ]
