@@ -442,16 +442,15 @@ def puda_nids(gossip: MultiGossipOperator) -> PUDAConfig:
 
 @dataclass(frozen=True)
 class PUDAState:
-    """Engine iterate, its predecessor, the last ``H`` input and gradient, and prox input.
+    """Engine iterate, its predecessor, the last gradient, and prox input.
 
-    ``z_prev`` is the vector ``H`` was last applied to, and ``hz_prev`` the
-    prox input ``w`` that gave ``x`` (``H z_prev`` under ``C = I``); keeping
-    it lets both presets apply ``H`` once per iteration.
+    ``hz_prev`` is the prox input ``w`` that gave ``x`` (under ``C = I``,
+    ``H`` applied to the last ``z``); keeping it lets both presets apply
+    ``H`` once per iteration.
     """
 
     x: np.ndarray
     x_prev: np.ndarray
-    z_prev: np.ndarray
     grad_prev: np.ndarray
     hz_prev: np.ndarray
 
@@ -473,7 +472,7 @@ def puda_step(
     x_new = problem.prox_stack(alpha, w)
     if not np.isfinite(x_new).all():
         raise DivergenceError("non-finite iterate")
-    return PUDAState(x=x_new, x_prev=state.x, z_prev=z, grad_prev=g, hz_prev=w)
+    return PUDAState(x=x_new, x_prev=state.x, grad_prev=g, hz_prev=w)
 
 
 def puda_run(
@@ -493,7 +492,7 @@ def puda_run(
     zero = np.zeros((problem.n, problem.dim))
     return _run(
         lambda state, theta: puda_step(state, problem, cfg, alpha),
-        PUDAState(x=zero, x_prev=zero, z_prev=zero, grad_prev=zero, hz_prev=zero),
+        PUDAState(x=zero, x_prev=zero, grad_prev=zero, hz_prev=zero),
         [1] * T,
         cfg.gossip.K,
         np.tile(_as_xstar(xstar), (problem.n, 1)),

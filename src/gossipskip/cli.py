@@ -35,12 +35,14 @@ __all__ = ["main"]
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    if args.kind == "ring":
-        graph = build_ring(args.n)
-    elif args.kind == "random":
-        graph = build_random_connectivity(args.n, args.iota, args.seed)
-    else:
-        print(f"unknown topology kind {args.kind!r}", file=sys.stderr)
+    # argparse restricts --kind; the builders reject out-of-range --n and --iota
+    try:
+        if args.kind == "ring":
+            graph = build_ring(args.n)
+        else:
+            graph = build_random_connectivity(args.n, args.iota, args.seed)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     mixing = metropolis_weights(graph)
     print(f"n = {graph.n}")
@@ -75,6 +77,9 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -
 
 
 def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
+    if args.steps < 0:
+        print(f"error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
+        return 2
     graph = build_graph(spec)
     mixing = metropolis_weights(graph)
     problem = build_problem(spec, mixing)

@@ -13,7 +13,9 @@ as a dense product or, on large sparse graphs, by gathering every node's
 neighbor rows from a padded table; on mid-size sparse graphs whose ``K``
 rounds cost more than one dense product, the cached ``Mbar`` is applied
 instead, folding the ``K`` rounds into one (see
-:attr:`MultiGossipOperator.kernel`).
+:attr:`MultiGossipOperator.kernel`).  ``Mbar`` itself is built from
+``ceil(K/2)`` rounds on the columns of ``I`` and two dense products (see
+:func:`_half_round_build`).
 
 ``Mbar`` is a polynomial in ``W``: it has ``W``'s eigenvectors, and each
 eigenvalue ``lam`` of ``W`` maps to ``p_K(lam)``, the recursion run on
@@ -82,18 +84,6 @@ _FOLD_MAX_NODES = 512
 # Mbar is built this many columns of I at a time, so the gather's
 # (width, n, columns) temporaries stay small next to Mbar itself.
 _MBAR_BLOCK = 32
-
-# Mbar is built from ceil(K/2) rounds and two dense products (see
-# _half_round_build) instead of K rounds when (K // 2) * row > 5 * n, row being
-# the per-row cost of one round in dense-row entries: n on the dense kernel,
-# 20 * width + 100 on the gather.  The products, lower triangles only, cost
-# about one n x n x n product, which the K // 2 rounds saved must pay for.
-# Measured K at which both builds take the same time, one BLAS thread, 2-core
-# x86-64 VM: ring-45 (dense) 10-12, ring-160 about 10, ring-200 12, ring-400 24,
-# ring-512 28; the rule switches at K = 12, 12, 14, 26 and 34, so the half-round
-# build is never the slower one.  Ring-15 (K = 4) and every K = 1 operator keep
-# the K-round build, bit for bit.
-_HALF_BUILD_COST_PER_NODE = 5
 
 
 def chebyshev_eta(rho: float) -> float:
@@ -174,8 +164,8 @@ class MultiGossipOperator:
 
     @cached_property
     def _apply_w(self):
-        """The callable applying ``W`` to a state array: ``W @ s`` on the
-        dense kernel, else the neighbour gather, which also builds ``Mbar``."""
+        """The callable applying ``W`` to a state array in :meth:`fast_goss`:
+        ``W @ s`` on the dense kernel, else the neighbour gather."""
         w = self.mixing.w
         return partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
 
@@ -183,27 +173,19 @@ class MultiGossipOperator:
     def mbar(self) -> np.ndarray:
         """Dense ``M_K``, the matrix :meth:`fast_goss` applies.  Read-only.
 
-        Built from the columns of ``I``, ``_MBAR_BLOCK`` at a time.  Where
-        ``K`` rounds cost little next to a dense product (see
-        ``_HALF_BUILD_COST_PER_NODE``), each block runs the ``K`` rounds of
-        :meth:`fast_goss` and is written into one ``(n, n)`` array.
-        Otherwise :func:`_half_round_build` runs ``ceil(K/2)`` rounds on the
-        blocks and finishes with two dense products, which agree with the
-        ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400) and hold
-        three ``(n, n)`` arrays while they run.  Either build keeps only
-        ``Mbar``: the neighbour table keeps no weight layout the build made.
+        :func:`_half_round_build` runs ``ceil(K/2)`` rounds of the recursion
+        on the columns of ``I``, ``_MBAR_BLOCK`` at a time, and finishes with
+        two dense products; the result agrees with the ``K`` rounds to
+        rounding (under ``2e-15`` per entry at ring-400), and at ``K = 1``,
+        ``eta = 0`` it is ``W`` exactly.  The build holds three ``(n, n)``
+        arrays while it runs and applies ``W`` through its own product or
+        neighbour table, which it frees: afterwards the operator holds
+        ``Mbar`` and nothing else the build made.
         """
-        apply_w = self._apply_w
-        if self.kernel != "dense":
-            # the blocks' weight layouts serve only the build, so they are not kept
-            apply_w = partial(apply_w, layouts={})
-        round_row = self.n if self.kernel == "dense" else self._gather_row
-        if self.K // 2 * round_row > _HALF_BUILD_COST_PER_NODE * self.n:
-            m = _half_round_build(apply_w, self.n, self.K, self.eta)
-        else:
-            m = np.empty((self.n, self.n))
-            for cols, eye in _identity_blocks(self.n):
-                m[:, cols] = _chebyshev(apply_w, eye, self.K, self.eta)
+        w = self.mixing.w
+        # the build's own table: its (width, n, block) weight layouts go with it
+        apply_w = partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
+        m = _half_round_build(apply_w, self.n, self.K, self.eta)
         m.setflags(write=False)
         return m
 
@@ -266,8 +248,7 @@ class _NeighbourTable:
     ``wts_by_shape`` maps each trailing state shape met so far to a
     read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the
     multiply then runs over contiguous operands instead of broadcasting
-    ``wts`` with stride 0, which took about half of each round.  A call
-    given its own ``layouts`` dict caches its layout there instead.
+    ``wts`` with stride 0, which took about half of each round.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -281,15 +262,14 @@ class _NeighbourTable:
         self.wts[slot, rows] = w[rows, cols]
         self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
 
-    def __call__(self, s: np.ndarray, layouts: dict | None = None) -> np.ndarray:
-        layouts = self.wts_by_shape if layouts is None else layouts
-        wts = layouts.get(s.shape[1:])
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        wts = self.wts_by_shape.get(s.shape[1:])
         if wts is None:
             column = self.wts.reshape(self.wts.shape + (1,) * (s.ndim - 1))
             wts = np.broadcast_to(column, self.wts.shape + s.shape[1:]).copy()
             wts.setflags(write=False)
             # concurrent first calls build equal copies; every caller uses the stored one
-            wts = layouts.setdefault(s.shape[1:], wts)
+            wts = self.wts_by_shape.setdefault(s.shape[1:], wts)
         g = np.take(s, self.idx, axis=0)
         g *= wts
         return g.sum(axis=0)
@@ -317,15 +297,6 @@ def _recurrence(apply_w, prev: np.ndarray | float, cur: np.ndarray, rounds: int,
     return prev, cur
 
 
-def _identity_blocks(n: int):
-    """``(columns, I[:, columns])`` for consecutive ``_MBAR_BLOCK``-wide column slices."""
-    for j in range(0, n, _MBAR_BLOCK):
-        cols = min(_MBAR_BLOCK, n - j)
-        eye = np.zeros((n, cols))
-        eye[j : j + cols] = np.eye(cols)
-        yield slice(j, j + cols), eye
-
-
 def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
     """``M_K`` from ``h = ceil(K/2)`` rounds of the recursion and two dense products.
 
@@ -342,7 +313,9 @@ def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
     """
     h = (K + 1) // 2
     p = [np.empty((n, n)) for _ in range(3)]  # P_{h-2}, P_{h-1}, P_h
-    for cols, eye in _identity_blocks(n):
+    for top in range(0, n, _MBAR_BLOCK):
+        cols = slice(top, top + _MBAR_BLOCK)
+        eye = np.eye(n, min(_MBAR_BLOCK, n - top), -top)  # I[:, cols]
         p[0][:, cols], p[1][:, cols] = _recurrence(apply_w, 0.0, eye, h - 1, eta)
         p[2][:, cols] = _recurrence(apply_w, p[0][:, cols], p[1][:, cols], 1, eta)[1]
     # the left operands P_a, P_{a-1}, and the output

@@ -528,16 +528,12 @@ def _significant(value: float) -> float:
 
 def _summary_row(name: str, seed: int, result: RunResult) -> dict:
     reached = result.stopped
-    iters = int(result.iterations) if reached else None
-    comm = int(result.comm_rounds[-1]) if reached else None
     return {
         "algorithm": name,
         "seed": seed,
-        "iterations_to_tol": iters,
-        "comm_to_tol": comm,
+        "iterations_to_tol": int(result.iterations) if reached else None,
+        "comm_to_tol": int(result.comm_rounds[-1]) if reached else None,
         "grad_evals_to_tol": int(result.grad_evals[-1]) if reached else None,
-        # a round sends each neighbour one d-vector, so this equals comm_to_tol
-        "vec_transmissions_to_tol": comm,
         "final_rel_err": float(result.rel_err[-1]),
     }
 
@@ -556,7 +552,6 @@ def _summarize(rows: list[dict], spec: ExperimentSpec) -> dict:
         means[name] = {
             "iterations_to_tol": mean_of(entries, "iterations_to_tol"),
             "comm_to_tol": mean_of(entries, "comm_to_tol"),
-            "vec_transmissions_to_tol": mean_of(entries, "vec_transmissions_to_tol"),
             "final_rel_err": sum(e["final_rel_err"] for e in entries) / len(entries),
         }
     baseline = spec.baseline or spec.algorithms[0].name
@@ -580,7 +575,6 @@ def _write_summary_csv(path: Path, summary: dict) -> None:
         "iterations_to_tol",
         "comm_to_tol",
         "grad_evals_to_tol",
-        "vec_transmissions_to_tol",
         "final_rel_err",
         "iter_speedup_vs_baseline",
         "comm_speedup_vs_baseline",
@@ -598,7 +592,7 @@ def _write_summary_csv(path: Path, summary: dict) -> None:
         writer.writerow(columns)
         for row in summary["per_run"]:
             writer.writerow(
-                [cell(row.get(c)) for c in columns[:7]] + ["", ""]
+                [cell(row.get(c)) for c in columns[:6]] + ["", ""]
             )
         for name in sorted(summary["mean"]):
             m = summary["mean"][name]
@@ -609,7 +603,6 @@ def _write_summary_csv(path: Path, summary: dict) -> None:
                     cell(m["iterations_to_tol"]),
                     cell(m["comm_to_tol"]),
                     "",
-                    cell(m["vec_transmissions_to_tol"]),
                     cell(m["final_rel_err"]),
                     cell(m["iter_speedup_vs_baseline"]),
                     cell(m["comm_speedup_vs_baseline"]),

@@ -515,20 +515,21 @@ class TestPUDA:
         res = puda_run(bench.problem, cfg, bench.alpha, 2, bench.reference)
         assert res.comm_rounds.tolist() == [bench.gossip.K, 2 * bench.gossip.K]
         assert res.grad_evals.tolist() == [1, 2]
-        names = ["x", "x_prev", "z_prev", "grad_prev", "hz_prev"]
+        names = ["x", "x_prev", "grad_prev", "hz_prev"]
         assert [f.name for f in fields(res.state)] == names
 
     def test_first_iterate_from_zero(self, bench):
-        """From zero, the first step is ``x1 = prox(H (-alpha grad F(0)))``."""
+        """From zero, the first step is ``x1 = prox(H z0)`` with ``z0 = -alpha grad F(0)``,
+        and the prox input it keeps is ``H z0``."""
         gossip = one_round(bench.mixing)
         cfg = puda_nids(gossip)
         alpha = bench.alpha
         res = puda_run(bench.problem, cfg, alpha, 1, bench.reference)
         zero = np.zeros((15, 10))
         z0 = zero - alpha * bench.problem.gradient_stack(zero)
-        x1 = bench.problem.prox_stack(alpha, z0 - 0.5 * gossip.fast_goss(z0))
-        assert np.array_equal(res.state.x, x1)
-        assert np.array_equal(res.state.z_prev, z0)
+        hz0 = z0 - 0.5 * gossip.fast_goss(z0)
+        assert np.array_equal(res.state.x, bench.problem.prox_stack(alpha, hz0))
+        assert np.array_equal(res.state.hz_prev, hz0)
         # H through the operator is (I + W)/2 on the one-round operator
         half = 0.5 * (np.eye(15) + bench.mixing.w)
         assert np.abs(res.state.x - bench.problem.prox_stack(alpha, half @ z0)).max() <= 1e-14

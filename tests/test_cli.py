@@ -47,6 +47,24 @@ class TestTopology:
             main(["topology", "--kind", "torus", "--n", "4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "ring", "--n", "2"], "ring needs n >= 3 nodes, got 2"),
+            (
+                ["--kind", "random", "--n", "10", "--iota", "0"],
+                "connectivity ratio must be in (0, 1], got 0.0",
+            ),
+            (["--kind", "random", "--n", "0"], "node count must be >= 1, got 0"),
+        ],
+        ids=["ring-n2", "random-iota0", "random-n0"],
+    )
+    def test_out_of_range_exit_2(self, capsys, argv, message):
+        assert main(["topology", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_complete_graph_all_checks_pass(self, tmp_path, capsys):
@@ -75,6 +93,14 @@ class TestVerify:
 
     def test_missing_config(self, capsys):
         assert main(["verify", "--config", "missing.cfg"]) == 2
+
+    def test_negative_steps_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG)
+        assert main(["verify", "--config", str(config), "--steps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --steps must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_reports_reference_certificate(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -70,42 +70,41 @@ class TestMbar:
         assert np.abs(mbar - mbar.T).max() <= 1e-12
         assert np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [15, 30])
-    def test_bit_identical_to_hstack_of_blocks(self, n):
-        """Below the half-round rule (ring-15 at K = 4, ring-30 at K = 8) the
-        preallocated build gives exactly the columns the recursion gives on
-        slices of a dense identity, joined by ``np.hstack``."""
-        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(n)))
-        eye = np.eye(n)
-        blocks = [
-            _chebyshev(op._apply_w, eye[:, j : j + _MBAR_BLOCK], op.K, op.eta)
-            for j in range(0, n, _MBAR_BLOCK)
-        ]
-        assert np.array_equal(op.mbar, np.hstack(blocks))
-        assert not op.mbar.flags.writeable
-
-    @pytest.mark.parametrize("n", [200, 400])
-    def test_half_round_build_matches_dense_recursion(self, n):
-        """Ring-200 (odd K = 55) and ring-400 (even K = 110) build Mbar from
-        ceil(K/2) rounds and two products; it equals the K-round dense
-        recursion on I entrywise to 1e-14."""
-        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(n)))
-        assert op.K == {200: 55, 400: 110}[n]
+    @pytest.mark.parametrize(
+        "kind, n, K",
+        [
+            pytest.param("ring", 200, None, id="200"),
+            pytest.param("ring", 400, None, id="400"),
+            pytest.param("ring", 400, 1, id="400-K1"),
+            *(pytest.param("ring", 15, K, id=f"ring15-K{K}") for K in range(1, 7)),
+            pytest.param("ring", 30, None, id="ring30"),
+            pytest.param("random", 20, None, id="rand20"),
+        ],
+    )
+    def test_half_round_build_matches_dense_recursion(self, kind, n, K):
+        """Every Mbar is built from ceil(K/2) rounds and two products: ring-200
+        (odd K = 55), ring-400 (even K = 110, and K = 1 on the gather), ring-15
+        at K = 1..6, ring-30 and a random 20-node graph.  It equals the K-round
+        dense recursion on I entrywise to 1e-14."""
+        graph = build_ring(n) if kind == "ring" else build_random_connectivity(n, 0.3, seed=1)
+        op = MultiGossipOperator.from_mixing(metropolis_weights(graph), K=K)
+        if K is None and n in (200, 400):
+            assert op.K == {200: 55, 400: 110}[n]
         expected = _dense_recursion(op.mixing.w, np.eye(n), op.K, op.eta)
         assert np.abs(op.mbar - expected).max() <= 1e-14
         assert not op.mbar.flags.writeable
 
-    @pytest.mark.parametrize("K, rounds", [(None, 55), (24, 24), (26, 13)])
+    @pytest.mark.parametrize("K, rounds", [(None, 55), (24, 12), (26, 13)])
     def test_build_gathers_half_the_rounds(self, monkeypatch, K, rounds):
-        """Ring-400's default build runs 55 gathered rounds, not 110, on each of
-        its 13 blocks of I; the rule switches at K = 26 ((K // 2) * 160 > 5 * 400)."""
+        """Ring-400's build runs ceil(K/2) gathered rounds on each of its 13
+        blocks of I: 55 at the default K = 110, not 110."""
         calls = 0
         gather = _NeighbourTable.__call__
 
-        def counted(table, s, layouts=None):
+        def counted(table, s):
             nonlocal calls
             calls += 1
-            return gather(table, s, layouts)
+            return gather(table, s)
 
         monkeypatch.setattr(_NeighbourTable, "__call__", counted)
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)), K=K)
@@ -130,19 +129,19 @@ class TestMbar:
         assert peak <= 8 * (3 * n * n + (3 * width + 4) * n * _MBAR_BLOCK)
 
     def test_build_keeps_no_weight_layout(self):
-        """After ring-400's Mbar is built the operator holds Mbar and the neighbour
-        table's ``idx`` and ``wts`` only: the (width, n, block) weight layouts the
-        build made (0.46 MB) are not kept."""
+        """After ring-400's Mbar is built the folded operator holds Mbar only:
+        it never builds the neighbour table ``fast_goss`` would gather with, and
+        the build's own table and its (width, n, block) weight layouts are freed."""
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
-        n, width = op.n, 3
+        n = op.n
         tracemalloc.start()
         try:
             op.mbar
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert op.kernel == "folded" and op._apply_w.wts_by_shape == {}
-        assert held <= 8 * (n * n + 2 * width * n) + 16 * 1024
+        assert op.kernel == "folded" and "_apply_w" not in op.__dict__
+        assert held <= 8 * n * n + 16 * 1024
 
     def test_eta0_rounds_match_full_update(self, ring15_mixing):
         """At eta = 0 the recursion skips its momentum updates and gives the

@@ -518,6 +518,32 @@ class TestRunExperiment:
         # p = 0.5 halves communication at unchanged iteration count
         assert other["comm_speedup_vs_baseline"] > 1.5
 
+    def test_summary_csv_columns(self, tmp_path):
+        """``summary.csv`` has one communication column, and every per-run and
+        mean row fills the header with its cells in the header's order."""
+        text = BASE_CONFIG.replace("run.T = 10", "run.T = 5000").replace(
+            "run.tol = 0.0", "run.tol = 1e-6"
+        )
+        summary = run_experiment(parse_config(text), tmp_path, config_text=text)
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [
+            "algorithm",
+            "seed",
+            "iterations_to_tol",
+            "comm_to_tol",
+            "grad_evals_to_tol",
+            "final_rel_err",
+            "iter_speedup_vs_baseline",
+            "comm_speedup_vs_baseline",
+        ]
+        assert all(len(row) == len(header) for row in rows)
+        means = {row[0]: dict(zip(header, row)) for row in rows if row[1] == "mean"}
+        for name, m in summary["mean"].items():
+            assert float(means[name]["comm_to_tol"]) == m["comm_to_tol"]
+            assert float(means[name]["final_rel_err"]) == m["final_rel_err"]
+            assert float(means[name]["comm_speedup_vs_baseline"]) == m["comm_speedup_vs_baseline"]
+
     def test_monotone_counters_in_trace(self, tmp_path):
         spec = parse_config(BASE_CONFIG)
         run_experiment(spec, tmp_path, config_text=BASE_CONFIG)

@@ -38,5 +38,3 @@ def test_kernel_rules_quote_gossip_constants():
     assert re.findall(rule, section) == [(cap, fold, *gather)]
     assert re.findall(r"about (\d+) dense-row entries per\s+node", section) == [fold]
     assert re.findall(r"above\s+n = (\d+)", section) == [cap]
-    half = str(gossip._HALF_BUILD_COST_PER_NODE)
-    assert re.findall(r"`\(K // 2\)·row > (\d+)·n`", section) == [half]
