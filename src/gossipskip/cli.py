@@ -143,7 +143,8 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     )
     checks.append(("fixed point is stationary", f"moved {moved:.2e}", moved <= 1e-10))
 
-    if first.kind == "mg_skip" and first.k_rule == "default":
+    # over 0 steps there is no contraction to check, and no row for it
+    if args.steps and first.kind == "mg_skip" and first.k_rule == "default":
         state = MGSkipState(x=np.zeros((problem.n, problem.dim)), y=np.zeros((problem.n, problem.dim)))
         coins = coin_stream(0, args.steps)
         contraction_ok = True

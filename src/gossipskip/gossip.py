@@ -15,7 +15,8 @@ rounds cost more than one dense product, the cached ``Mbar`` is applied
 instead, folding the ``K`` rounds into one (see
 :attr:`MultiGossipOperator.kernel`).  ``Mbar`` itself is built from
 ``ceil(K/2)`` rounds on the columns of ``I`` and two dense products (see
-:func:`_half_round_build`).
+:func:`_half_round_build`); on the neighbour table, each block of columns
+gathers only the rows it has reached, which are all that are nonzero.
 
 ``Mbar`` is a polynomial in ``W``: it has ``W``'s eigenvectors, and each
 eigenvalue ``lam`` of ``W`` maps to ``p_K(lam)``, the recursion run on
@@ -34,6 +35,7 @@ factor), so callers must consult the report flags rather than assume it.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -76,8 +78,10 @@ _GATHER_COST_PER_ROW = 100
 # ring-512 9.8; random n = 350 (width 11) 2.0, n = 400 (width 13) 2.3, n = 512
 # (width 11) 4.0.  Those put the factor between 1.1 and 3.3 (the dense cache
 # jump again); 2 keeps every misjudged call within 2x of the faster kernel.
-# The cap keeps Mbar at 2 MiB, and its build (0.06 s at ring-400, 0.45 s at
-# ring-800) within a few dozen calls' saving.
+# The cap keeps Mbar at 2 MiB, and its build (0.03 s at ring-400, 0.17 s at
+# ring-800) within a few dozen calls' saving.  Both constants were fitted
+# before the build gathered only reached rows; refitting them to the cheaper
+# build would move kernels, and so outputs, above n = 512.
 _FOLD_COST_PER_NODE = 2
 _FOLD_MAX_NODES = 512
 
@@ -177,17 +181,28 @@ class MultiGossipOperator:
         on the columns of ``I``, ``_MBAR_BLOCK`` at a time, and finishes with
         two dense products; the result agrees with the ``K`` rounds to
         rounding (under ``2e-15`` per entry at ring-400), and at ``K = 1``,
-        ``eta = 0`` it is ``W`` exactly.  The build holds three ``(n, n)``
-        arrays while it runs and applies ``W`` through its own product or
-        neighbour table, which it frees: afterwards the operator holds
-        ``Mbar`` and nothing else the build made.
+        ``eta = 0`` it is ``W`` exactly.  With the neighbour table, a block
+        of columns that has not reached every node within ``ceil(K/2)`` hops
+        gathers only the rows it has reached.  The build holds three
+        ``(n, n)`` arrays while it runs and applies ``W`` through its own
+        product or neighbour table, which it frees: afterwards the operator
+        holds ``Mbar`` and nothing else the build made.  Its wall-clock
+        seconds are :attr:`mbar_seconds`.
         """
+        clock = time.perf_counter()
         w = self.mixing.w
         # the build's own table: its (width, n, block) weight layouts go with it
         apply_w = partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
         m = _half_round_build(apply_w, self.n, self.K, self.eta)
         m.setflags(write=False)
+        # cached beside mbar, as the frozen dataclass takes no new attribute
+        self.__dict__["_mbar_seconds"] = time.perf_counter() - clock
         return m
+
+    @property
+    def mbar_seconds(self) -> float | None:
+        """Wall-clock seconds :attr:`mbar`'s build took; ``None`` until it is built."""
+        return self.__dict__.get("_mbar_seconds")
 
     def _on_eigenvalues(self, lam: np.ndarray) -> np.ndarray:
         """``p_K(lam)``: the recursion run on each eigenvalue ``lam`` of ``W``."""
@@ -248,7 +263,10 @@ class _NeighbourTable:
     ``wts_by_shape`` maps each trailing state shape met so far to a
     read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the
     multiply then runs over contiguous operands instead of broadcasting
-    ``wts`` with stride 0, which took about half of each round.
+    ``wts`` with stride 0, which took about half of each round.  The
+    tables :meth:`on_rows` and :meth:`head` derive gather fewer rows with
+    the same slots in the same order, so each row's sum is unchanged; a
+    :meth:`head` table's layout is a view of its parent's.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -262,17 +280,40 @@ class _NeighbourTable:
         self.wts[slot, rows] = w[rows, cols]
         self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        wts = self.wts_by_shape.get(s.shape[1:])
+    @classmethod
+    def _of(cls, idx: np.ndarray, wts: np.ndarray) -> _NeighbourTable:
+        table = cls.__new__(cls)
+        table.idx, table.wts, table.wts_by_shape = idx, wts, {}
+        return table
+
+    def layout(self, trailing: tuple[int, ...]) -> np.ndarray:
+        """``wts`` laid out as ``(width, n, *trailing)``, built on first use."""
+        wts = self.wts_by_shape.get(trailing)
         if wts is None:
-            column = self.wts.reshape(self.wts.shape + (1,) * (s.ndim - 1))
-            wts = np.broadcast_to(column, self.wts.shape + s.shape[1:]).copy()
+            column = self.wts.reshape(self.wts.shape + (1,) * len(trailing))
+            wts = np.broadcast_to(column, self.wts.shape + trailing).copy()
             wts.setflags(write=False)
             # concurrent first calls build equal copies; every caller uses the stored one
-            wts = self.wts_by_shape.setdefault(s.shape[1:], wts)
+            wts = self.wts_by_shape.setdefault(trailing, wts)
+        return wts
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
         g = np.take(s, self.idx, axis=0)
-        g *= wts
+        g *= self.layout(s.shape[1:])
         return g.sum(axis=0)
+
+    def on_rows(self, rows: np.ndarray) -> _NeighbourTable:
+        """The table of ``rows`` alone, renumbered in their order.  A neighbour
+        outside ``rows`` is read from row ``len(rows)``, which callers keep at zero."""
+        local = np.full(self.idx.shape[1], rows.size)
+        local[rows] = np.arange(rows.size)
+        return self._of(local[self.idx[:, rows]], self.wts[:, rows])
+
+    def head(self, count: int, trailing: tuple[int, ...]) -> _NeighbourTable:
+        """The table of the first ``count`` rows, sharing this table's layout for ``trailing``."""
+        table = self._of(self.idx[:, :count], self.wts[:, :count])
+        table.wts_by_shape[trailing] = self.layout(trailing)[:, :count]
+        return table
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
@@ -310,14 +351,32 @@ def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
     so the build holds three ``(n, n)`` arrays and returns one of them.
     The products give a block's rows from its diagonal block down; the
     rows above are copied from earlier blocks, as ``M_K`` is symmetric.
+
+    With a neighbour table, a block's columns of ``P_k`` are exact zeros
+    beyond ``k`` hops of its own nodes, so a block that does not reach
+    every node within ``h`` hops runs its rounds on the rows it reaches
+    (see :func:`_reach_rounds`) and leaves the other rows zero.  Every row
+    it computes sums the terms the full round sums, in the same order, so
+    ``M_K`` is the same to the bit.
     """
     h = (K + 1) // 2
-    p = [np.empty((n, n)) for _ in range(3)]  # P_{h-2}, P_{h-1}, P_h
-    for top in range(0, n, _MBAR_BLOCK):
+    p = [np.zeros((n, n)) for _ in range(3)]  # P_{h-2}, P_{h-1}, P_h
+    hops = _block_hops(apply_w.idx, n, h) if isinstance(apply_w, _NeighbourTable) else None
+    for block, top in enumerate(range(0, n, _MBAR_BLOCK)):
         cols = slice(top, top + _MBAR_BLOCK)
-        eye = np.eye(n, min(_MBAR_BLOCK, n - top), -top)  # I[:, cols]
-        p[0][:, cols], p[1][:, cols] = _recurrence(apply_w, 0.0, eye, h - 1, eta)
-        p[2][:, cols] = _recurrence(apply_w, p[0][:, cols], p[1][:, cols], 1, eta)[1]
+        width = min(_MBAR_BLOCK, n - top)
+        # reach[k]: how many nodes are within k hops of this block
+        reach = None if hops is None else np.cumsum(np.bincount(hops[:, block], minlength=h + 1))
+        if reach is None or reach[h] == n:
+            eye = np.eye(n, width, -top)  # I[:, cols]
+            p[0][:, cols], p[1][:, cols] = _recurrence(apply_w, 0.0, eye, h - 1, eta)
+            p[2][:, cols] = _recurrence(apply_w, p[0][:, cols], p[1][:, cols], 1, eta)[1]
+        else:
+            # nearest first; the block's own nodes, at 0 hops, keep their order
+            rows = np.argsort(hops[:, block], kind="stable")[: reach[h]]
+            table = apply_w.on_rows(rows)
+            for out, local in zip(p, _reach_rounds(table, reach, width, h, eta)):
+                out[rows, cols] = local
     # the left operands P_a, P_{a-1}, and the output
     if K % 2:  # a = h - 1
         left, left_prev, out = p[1], p[0], p[2]
@@ -333,6 +392,54 @@ def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
         out[top:, cols] = block
         out[:top, cols] = out[cols, :top].T
     return out
+
+
+def _block_hops(idx: np.ndarray, n: int, h: int) -> np.ndarray:
+    """``hops[i, b]``: the hop distance from column block ``b`` of ``I`` to node
+    ``i``, or ``h + 1`` beyond ``h`` hops.
+
+    One boolean breadth-first search over the neighbour indices ``idx``
+    serves every block; it stops once no block's reach grows.  A node
+    stays reached whether or not it is its own neighbour (``w_ii`` may be
+    zero), so the reach only grows.
+    """
+    blocks = np.arange(n) // _MBAR_BLOCK
+    reached = blocks[:, None] == np.arange(blocks[-1] + 1)
+    hops = np.where(reached, 0, h + 1)
+    for k in range(1, h + 1):
+        grown = reached[idx].any(axis=0) | reached
+        new = grown & ~reached
+        if not new.any():
+            break
+        hops[new] = k
+        reached = grown
+    return hops
+
+
+def _reach_rounds(table: _NeighbourTable, reach: np.ndarray, width: int, h: int, eta: float):
+    """One block's ``P_{h-2}``, ``P_{h-1}`` and ``P_h`` on its reached rows.
+
+    ``table`` holds the block's rows nearest first, its own ``width``
+    nodes leading; ``reach[k]`` of them lie within ``k`` hops.  Round
+    ``k`` gathers only those rows, as ``P_k`` is zero on the rest.  Three
+    buffers hold the iterates, with one zero row past the reached ones
+    for the neighbours beyond them; the buffer each round writes held
+    ``P_{k-3}``, whose rows all lie within ``reach[k]``, so every row it
+    does not write is still zero.
+    """
+    size = table.idx.shape[1]
+    prev, cur, nxt = (np.zeros((size + 1, width)) for _ in range(3))  # P_{-1}, P_0, spare
+    cur[:width] = np.eye(width)
+    for k in range(1, h + 1):
+        within = reach[k]
+        step = nxt[:within]
+        step[...] = table.head(within, (width,))(cur)
+        # the recursion's own operations on the same values (see _recurrence)
+        if eta:
+            step *= 1.0 + eta
+            step -= eta * prev[:within]
+        prev, cur, nxt = cur, nxt, prev
+    return nxt[:size], prev[:size], cur[:size]
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ order ``algorithm, seed, t, theta, comm_rounds, grad_evals, rel_err,
 psi``, a ``summary.csv`` with iterations/communication to tolerance and
 speedup ratios against a declared baseline row, and a ``manifest.json``
 holding the config hash, versions, the gossip kernels, the reference's
-certified error bound, each run's stop reason and wall-clock timings
-(timings never enter the data files, so reruns are byte-identical).  An
-experiment whose ``run.tol`` is not well above the reference's certified
-relative error is refused before any run.
+certified error bound, each run's stop reason and wall-clock timings,
+the ``Mbar`` builds' among them (timings never enter the data files, so
+reruns are byte-identical).  An experiment whose ``run.tol`` is not well
+above the reference's certified relative error is refused before any run.
 """
 
 from __future__ import annotations
@@ -422,7 +422,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     and the problem, and writing the traces and ``summary.csv``, next to
     ``reference_seconds``.  A folded operator builds ``Mbar`` in
     the first run that gossips with it, so that run's time includes the
-    build.
+    build; ``mbar_build_seconds`` gives the build's own seconds under the
+    algorithm whose run built it.
 
     Raises :class:`UncertifiedReferenceError`, before anything is written,
     when the reference does not certify ``spec.tol`` (see
@@ -449,6 +450,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
 
     rows, runs = [], []
     kernels: dict[str, str] = {}
+    builds: dict[str, float] = {}
     # rows with the same K and eta share one operator, so its neighbour table
     # and Mbar are built once per experiment
     operators: dict[tuple[int, float], MultiGossipOperator] = {}
@@ -457,6 +459,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         gossip = operators.setdefault((built.K, built.eta), built)
         alpha = alg.resolve_alpha(problem.L)
         kernels[alg.name] = gossip.kernel
+        unbuilt = gossip.mbar_seconds is None
         result = None
         for seed in spec.seeds:
             # the engine ignores the seed, so its one run is every seed's trace
@@ -488,6 +491,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
                     "iterations_per_second": _significant(result.iterations / seconds),
                 }
             )
+        if unbuilt and gossip.mbar_seconds is not None:
+            builds[alg.name] = _significant(gossip.mbar_seconds)
 
     summary = _summarize(rows, spec)
     with _timed(phases, "traces"):
@@ -500,6 +505,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
         "wall_seconds": round(time.time() - started, 3),
         "rho": mixing.rho,
         "gossip_kernels": kernels,
+        "mbar_build_seconds": builds,
         "reference_residual": reference.residual,
         "reference_error_bound": reference.relative_error_bound,
         "reference_iterations": reference.iterations,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from gossipskip.cli import main
+
+RING15_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ring15.cfg"
 
 COMPLETE_GRAPH_CONFIG = """
 graph.kind = random
@@ -110,6 +114,29 @@ class TestVerify:
         assert len(lines) == 1 and "PASS" in lines[0]
         bound = float(lines[0].split("error bound ")[1].split()[0])
         assert bound <= 1e-10
+
+    def test_zero_steps_omit_contraction_row(self, tmp_path, capsys):
+        """Over 0 steps there is no contraction check: no row, and the count
+        covers one check fewer than at 1 step, where the row is present."""
+        main(["verify", "--config", str(RING15_CONFIG), "--steps", "1"])
+        one_step = capsys.readouterr().out.splitlines()
+        main(["verify", "--config", str(RING15_CONFIG), "--steps", "0"])
+        zero_steps = capsys.readouterr().out.splitlines()
+        assert not any("contraction" in line for line in zero_steps)
+        assert len(zero_steps) == len(one_step) - 1
+        passed, total = map(int, one_step[-1].split()[0].split("/"))
+        assert zero_steps[-1] == f"{passed - 1}/{total - 1} checks passed"
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG)
+        assert main(["verify", "--config", str(config), "--steps", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "contraction" not in out and out.endswith("9/9 checks passed\n")
+
+    def test_one_step_reports_contraction_row(self, capsys):
+        main(["verify", "--config", str(RING15_CONFIG), "--steps", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if line.startswith("contraction over 1 steps")]
+        assert len(rows) == 1 and "  PASS  " in rows[0] and "-inf" not in rows[0]
 
     def test_skip1_first_algorithm_omits_contraction_row(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

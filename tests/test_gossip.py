@@ -17,6 +17,7 @@ import pytest
 
 import gossipskip
 from gossipskip import (
+    MixingMatrix,
     MultiGossipOperator,
     build_random_connectivity,
     build_ring,
@@ -25,7 +26,7 @@ from gossipskip import (
     metropolis_weights,
     verify_prop1,
 )
-from gossipskip.gossip import _MBAR_BLOCK, _chebyshev, _NeighbourTable
+from gossipskip.gossip import _MBAR_BLOCK, _block_hops, _chebyshev, _NeighbourTable
 
 
 class TestChebyshevEta:
@@ -142,6 +143,100 @@ class TestMbar:
             tracemalloc.stop()
         assert op.kernel == "folded" and "_apply_w" not in op.__dict__
         assert held <= 8 * n * n + 16 * 1024
+
+    @pytest.mark.parametrize(
+        "graph, K, eta",
+        [
+            ("ring400", None, None),
+            ("ring400", 24, None),
+            ("ring400", 26, None),
+            *(("ring400", K, None) for K in (1, 2, 3)),
+            ("ring400", 1, 0.0),
+            ("ring210", None, None),
+            ("ring210", 181, None),
+            ("ring512", None, None),
+            ("rand400", None, None),
+            ("zero_diag_ring417", None, None),
+        ],
+        ids=lambda v: "default" if v is None else str(v),
+    )
+    def test_reach_build_bit_identical_to_full_rows(self, reach_mixings, graph, K, eta):
+        """The build that gathers only each block's reached rows gives the Mbar
+        of full-row rounds bit for bit: ring-400 at K = 110, 24, 26 and at
+        K = 1, 2, 3 (h <= 2, where P_{h-2} may be P_{-1} = 0); ring-210, whose
+        last block is partial, also at K = 181, where only that block stops
+        short of every node; ring-512; a random graph with padded rows,
+        whose blocks all reach every node and keep full rounds; and an odd
+        ring with a zero diagonal, where no node is its own neighbour and
+        the last block is node 416 alone.  At K = 1, eta = 0 it is W
+        exactly."""
+        mixing = reach_mixings[graph]
+        if eta is None:
+            op = MultiGossipOperator.from_mixing(mixing, K=K)
+        else:
+            op = MultiGossipOperator(mixing=mixing, K=K, eta=eta)
+        assert op.kernel != "dense"
+        assert np.array_equal(op.mbar, _full_row_build(op.mixing.w, op.K, op.eta))
+        if eta == 0.0:
+            assert np.array_equal(op.mbar, mixing.w)
+
+    def test_reach_build_test_graphs(self, reach_mixings):
+        """Which blocks of the graphs above stop short of every node within
+        h = ceil(K/2) hops, and so gather fewer rows than n."""
+        def short(graph, K=None):
+            op = MultiGossipOperator.from_mixing(reach_mixings[graph], K=K)
+            h = (op.K + 1) // 2
+            hops = _block_hops(_NeighbourTable(op.mixing.w).idx, op.n, h)
+            return (hops > h).any(axis=0).tolist()
+
+        assert short("ring400") == [True] * 13
+        assert short("ring210", K=181) == [False] * 6 + [True]
+        assert short("rand400") == [False] * 13
+        assert (_NeighbourTable(reach_mixings["rand400"].w).wts == 0.0).any()
+        assert short("zero_diag_ring417") == [True] * 14
+
+    def test_block_hops_keep_nodes_without_self_loops(self, reach_mixings):
+        """With w_ii = 0 a node is not its own neighbour, yet a node once
+        reached stays reached: on the zero-diagonal ring-417, hops are ring
+        distances (capped at h + 1), from the first block and from the last,
+        which is node 416 alone."""
+        idx = _NeighbourTable(reach_mixings["zero_diag_ring417"].w).idx
+        hops = _block_hops(idx, 417, 100)
+        nodes = np.arange(417)
+        first = np.where(nodes < _MBAR_BLOCK, 0, np.minimum(nodes - 31, 417 - nodes))
+        last = np.minimum(416 - nodes, nodes + 1)
+        assert np.array_equal(hops[:, 0], np.minimum(first, 101))
+        assert np.array_equal(hops[:, -1], np.minimum(last, 101))
+
+    def test_build_gathers_only_reached_rows(self, reach_mixings, monkeypatch):
+        """On ring-400 a block of I reaches two more nodes per hop, so round k
+        of the build gathers 32 + 2k rows on each full block and 16 + 2k on
+        the last: 62,040 rows over the 55 rounds, against 13 * 55 * 400 =
+        286,000 for full rounds.  Every block of the random graph reaches all
+        400 nodes and gathers all of them in each of its 24 rounds."""
+        gathered = []
+        gather = _NeighbourTable.__call__
+
+        def counted(table, s):
+            gathered.append(table.idx.shape[1])
+            return gather(table, s)
+
+        monkeypatch.setattr(_NeighbourTable, "__call__", counted)
+        MultiGossipOperator.from_mixing(reach_mixings["ring400"]).mbar
+        assert gathered == [width + 2 * k for width in [32] * 12 + [16] for k in range(1, 56)]
+        assert sum(gathered) == 62_040
+        gathered.clear()
+        MultiGossipOperator.from_mixing(reach_mixings["rand400"]).mbar
+        assert gathered == [400] * 13 * 24
+
+    def test_build_seconds_recorded(self, reach_mixings, ring15_mixing):
+        for mixing in (reach_mixings["ring210"], ring15_mixing):
+            op = MultiGossipOperator.from_mixing(mixing)
+            assert op.mbar_seconds is None
+            op.fast_goss(np.ones((op.n, 2)))
+            assert (op.mbar_seconds is None) == (op.kernel != "folded")
+            op.mbar
+            assert op.mbar_seconds > 0.0
 
     def test_eta0_rounds_match_full_update(self, ring15_mixing):
         """At eta = 0 the recursion skips its momentum updates and gives the
@@ -343,6 +438,48 @@ def _dense_recursion(w, states, K, eta):
     for _ in range(K):
         s_cur, s_prev = (1.0 + eta) * (w @ s_cur) - eta * s_prev, s_cur
     return s_cur
+
+
+def _full_row_build(w, K, eta):
+    """Reference: the half-round build with every round on all n rows of each
+    block of I, through the broadcast-weight gather."""
+    table = _NeighbourTable(w)
+    n, h = w.shape[0], (K + 1) // 2
+    wts = table.wts[:, :, None]
+    p = [np.empty((n, n)) for _ in range(3)]
+    for top in range(0, n, _MBAR_BLOCK):
+        cols = slice(top, top + _MBAR_BLOCK)
+        iterates = [0.0, np.eye(n, min(_MBAR_BLOCK, n - top), -top)]  # P_{-1}, P_0
+        for _ in range(h):
+            nxt = (np.take(iterates[-1], table.idx, axis=0) * wts).sum(axis=0)
+            if eta:
+                nxt *= 1.0 + eta
+                nxt -= eta * iterates[-2]
+            iterates.append(nxt)
+        p[0][:, cols], p[1][:, cols], p[2][:, cols] = iterates[-3:]
+    left, left_prev, out = (p[1], p[0], p[2]) if K % 2 else (p[2], p[1], p[0])
+    for top in range(0, n, _MBAR_BLOCK):
+        cols = slice(top, top + _MBAR_BLOCK)
+        m_b = p[2][:, cols] - eta * p[1][:, cols]
+        m_b_prev = p[1][:, cols] - eta * p[0][:, cols]
+        block = left[top:] @ m_b
+        block -= eta * (left_prev[top:] @ m_b_prev)
+        out[top:, cols] = block
+        out[:top, cols] = out[cols, :top].T
+    return out
+
+
+@pytest.fixture(scope="module")
+def reach_mixings():
+    """Rings around the fold cap, a random graph whose rows are padded, and an
+    odd ring with weight 1/2 on each neighbour and none on the diagonal."""
+    mixings = {f"ring{n}": metropolis_weights(build_ring(n)) for n in (210, 400, 512)}
+    mixings["rand400"] = metropolis_weights(build_random_connectivity(400, 2 / 400, seed=0))
+    w = np.zeros((417, 417))
+    nodes = np.arange(417)
+    w[nodes, (nodes + 1) % 417] = w[nodes, (nodes - 1) % 417] = 0.5
+    mixings["zero_diag_ring417"] = MixingMatrix.from_matrix(w)
+    return mixings
 
 
 @pytest.fixture(scope="module")

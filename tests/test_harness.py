@@ -439,6 +439,22 @@ class TestRunExperiment:
         rows = (tmp_path / "large" / "mg_skip_p1__seed0.csv").read_text().splitlines()
         assert rows[0] == ",".join(TRACE_COLUMNS) and len(rows) == 1 + 10
 
+    def test_manifest_records_mbar_build_seconds(self, tmp_path):
+        """``mbar_build_seconds`` lists the build under the algorithm whose run
+        built ``Mbar``: the first folded row.  The p = 0.5 row shares its
+        operator, and the dense and gathered operators build none."""
+        large = BASE_CONFIG.replace("graph.n = 15", "graph.n = 240").replace(
+            "problem.kappa_rule = half_over_gap", "problem.kappa = 2"
+        )
+        large += "alg.2.kind = puda_nids\nalg.2.alpha = one_over_5L\n"
+        builds = {}
+        for label, text in (("small", BASE_CONFIG), ("large", large)):
+            run_experiment(parse_config(text), tmp_path / label, config_text=text)
+            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+            builds[label] = manifest["mbar_build_seconds"]
+        assert builds["small"] == {}
+        assert list(builds["large"]) == ["mg_skip_p1"] and builds["large"]["mg_skip_p1"] > 0.0
+
     def test_operator_built_once_per_experiment(self, tmp_path, monkeypatch):
         """A ring-240 sweep over three p values builds one folded operator's Mbar once."""
         built = []
