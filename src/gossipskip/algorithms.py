@@ -489,6 +489,8 @@ def puda_run(
     ``z0 = -alpha * grad F(0)``.  Every iteration communicates, so every
     ``theta`` is 1; ``psi`` is NaN.
     """
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
     zero = np.zeros((problem.n, problem.dim))
     return _run(
         lambda state, theta: puda_step(state, problem, cfg, alpha),

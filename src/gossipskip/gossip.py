@@ -13,10 +13,11 @@ as a dense product or, on large sparse graphs, by gathering every node's
 neighbor rows from a padded table; on mid-size sparse graphs whose ``K``
 rounds cost more than one dense product, the cached ``Mbar`` is applied
 instead, folding the ``K`` rounds into one (see
-:attr:`MultiGossipOperator.kernel`).  ``Mbar`` itself is built from
-``ceil(K/2)`` rounds on the columns of ``I`` and two dense products (see
-:func:`_half_round_build`); on the neighbour table, each block of columns
-gathers only the rows it has reached, which are all that are nonzero.
+:attr:`MultiGossipOperator.kernel`).  ``Mbar`` itself is the recursion
+run on ``I``: for ``K`` dense rounds on the dense kernel, and on the
+others for ``ceil(K/2)`` gathered rounds and two dense products (see
+:func:`_half_round_build`), each block of columns of ``I`` gathering
+only the rows it has reached, which are all that are nonzero.
 
 ``Mbar`` is a polynomial in ``W``: it has ``W``'s eigenvectors, and each
 eigenvalue ``lam`` of ``W`` maps to ``p_K(lam)``, the recursion run on
@@ -153,7 +154,8 @@ class MultiGossipOperator:
           ``n <= 512`` and ``2 * n < K * (20 * width + 100)``;
         - ``"neighbour"``: ``K`` rounds of the neighbour gather otherwise.
         """
-        gather_row = self._gather_row
+        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
+        gather_row = _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
         if self.n < gather_row:
             return "dense"
         if self.n <= _FOLD_MAX_NODES and _FOLD_COST_PER_NODE * self.n < self.K * gather_row:
@@ -161,15 +163,9 @@ class MultiGossipOperator:
         return "neighbour"
 
     @cached_property
-    def _gather_row(self) -> int:
-        """Per-row cost of one gathered round, in dense-row entries: ``20 * width + 100``."""
-        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
-        return _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
-
-    @cached_property
     def _apply_w(self):
-        """The callable applying ``W`` to a state array in :meth:`fast_goss`:
-        ``W @ s`` on the dense kernel, else the neighbour gather."""
+        """The callable applying ``W`` in :meth:`fast_goss` and the dense kernel's
+        :attr:`mbar`: ``W @ s`` on the dense kernel, else the neighbour gather."""
         w = self.mixing.w
         return partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
 
@@ -177,23 +173,20 @@ class MultiGossipOperator:
     def mbar(self) -> np.ndarray:
         """Dense ``M_K``, the matrix :meth:`fast_goss` applies.  Read-only.
 
-        :func:`_half_round_build` runs ``ceil(K/2)`` rounds of the recursion
-        on the columns of ``I``, ``_MBAR_BLOCK`` at a time, and finishes with
-        two dense products; the result agrees with the ``K`` rounds to
-        rounding (under ``2e-15`` per entry at ring-400), and at ``K = 1``,
-        ``eta = 0`` it is ``W`` exactly.  With the neighbour table, a block
-        of columns that has not reached every node within ``ceil(K/2)`` hops
-        gathers only the rows it has reached.  The build holds three
-        ``(n, n)`` arrays while it runs and applies ``W`` through its own
-        product or neighbour table, which it frees: afterwards the operator
-        holds ``Mbar`` and nothing else the build made.  Its wall-clock
-        seconds are :attr:`mbar_seconds`.
+        The dense kernel runs the ``K`` rounds of the recursion on ``I``
+        itself.  The others build it by :func:`_half_round_build` through a
+        neighbour table of its own, which it frees, so the operator then
+        holds ``Mbar`` and nothing else the build made; it agrees with the
+        ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400).
+        At ``K = 1``, ``eta = 0`` either build is ``W`` exactly.  Its
+        wall-clock seconds are :attr:`mbar_seconds`.
         """
         clock = time.perf_counter()
-        w = self.mixing.w
-        # the build's own table: its (width, n, block) weight layouts go with it
-        apply_w = partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
-        m = _half_round_build(apply_w, self.n, self.K, self.eta)
+        if self.kernel == "dense":
+            m = _chebyshev(self._apply_w, np.eye(self.n), self.K, self.eta)
+        else:
+            # the build's own table: its (width, n, block) weight layouts go with it
+            m = _half_round_build(_NeighbourTable(self.mixing.w), self.K, self.eta)
         m.setflags(write=False)
         # cached beside mbar, as the frozen dataclass takes no new attribute
         self.__dict__["_mbar_seconds"] = time.perf_counter() - clock
@@ -317,28 +310,26 @@ class _NeighbourTable:
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
-    """``s_K`` of ``s_{k+1} = (1 + eta) W s_k - eta s_{k-1}``, ``s_0 = s_{-1} = states``."""
-    return _recurrence(apply_w, states, states, K, eta)[1]
-
-
-def _recurrence(apply_w, prev: np.ndarray | float, cur: np.ndarray, rounds: int, eta: float):
-    """``(s_{k-1}, s_k)`` after ``rounds`` rounds of the recursion from ``(prev, cur)``.
+    """``s_K`` of ``s_{k+1} = (1 + eta) W s_k - eta s_{k-1}``, ``s_0 = s_{-1} = states``.
 
     ``apply_w`` returns a new array, which is updated in place; this
     performs the same floating-point operations as the recursion's
-    expression, and neither input is ever written.
+    expression, and ``states`` is never written.  :meth:`fast_goss` runs
+    it on its states, and the dense kernel's :attr:`MultiGossipOperator.mbar`
+    on ``I``.
     """
-    for _ in range(rounds):
+    prev = cur = states
+    for _ in range(K):
         nxt = apply_w(cur)
         # at eta = 0 both updates keep every finite value (a -0.0 would become +0.0)
         if eta:
             nxt *= 1.0 + eta
             nxt -= eta * prev
         prev, cur = cur, nxt
-    return prev, cur
+    return cur
 
 
-def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
+def _half_round_build(table: _NeighbourTable, K: int, eta: float) -> np.ndarray:
     """``M_K`` from ``h = ceil(K/2)`` rounds of the recursion and two dense products.
 
     ``P_k``, the recursion's fundamental solution (``P_0 = I``,
@@ -352,31 +343,25 @@ def _half_round_build(apply_w, n: int, K: int, eta: float) -> np.ndarray:
     The products give a block's rows from its diagonal block down; the
     rows above are copied from earlier blocks, as ``M_K`` is symmetric.
 
-    With a neighbour table, a block's columns of ``P_k`` are exact zeros
-    beyond ``k`` hops of its own nodes, so a block that does not reach
-    every node within ``h`` hops runs its rounds on the rows it reaches
-    (see :func:`_reach_rounds`) and leaves the other rows zero.  Every row
-    it computes sums the terms the full round sums, in the same order, so
-    ``M_K`` is the same to the bit.
+    A block's columns of ``P_k`` are exact zeros beyond ``k`` hops of its
+    own nodes, so round ``k`` on a block gathers from ``table`` only the
+    rows within ``k`` hops (see :func:`_reach_rounds`).  Each sums the
+    terms a round on all ``n`` rows sums, in the same order, so ``M_K`` is
+    the same to the bit as with rounds on all rows.
     """
+    n = table.idx.shape[1]
     h = (K + 1) // 2
     p = [np.zeros((n, n)) for _ in range(3)]  # P_{h-2}, P_{h-1}, P_h
-    hops = _block_hops(apply_w.idx, n, h) if isinstance(apply_w, _NeighbourTable) else None
+    hops = _block_hops(table.idx, n, h)
     for block, top in enumerate(range(0, n, _MBAR_BLOCK)):
         cols = slice(top, top + _MBAR_BLOCK)
-        width = min(_MBAR_BLOCK, n - top)
         # reach[k]: how many nodes are within k hops of this block
-        reach = None if hops is None else np.cumsum(np.bincount(hops[:, block], minlength=h + 1))
-        if reach is None or reach[h] == n:
-            eye = np.eye(n, width, -top)  # I[:, cols]
-            p[0][:, cols], p[1][:, cols] = _recurrence(apply_w, 0.0, eye, h - 1, eta)
-            p[2][:, cols] = _recurrence(apply_w, p[0][:, cols], p[1][:, cols], 1, eta)[1]
-        else:
-            # nearest first; the block's own nodes, at 0 hops, keep their order
-            rows = np.argsort(hops[:, block], kind="stable")[: reach[h]]
-            table = apply_w.on_rows(rows)
-            for out, local in zip(p, _reach_rounds(table, reach, width, h, eta)):
-                out[rows, cols] = local
+        reach = np.cumsum(np.bincount(hops[:, block], minlength=h + 1))
+        # nearest first; the block's own nodes, at 0 hops, keep their order
+        rows = np.argsort(hops[:, block], kind="stable")[: reach[h]]
+        rounds = _reach_rounds(table.on_rows(rows), reach, min(_MBAR_BLOCK, n - top), h, eta)
+        for out, local in zip(p, rounds):
+            out[rows, cols] = local
     # the left operands P_a, P_{a-1}, and the output
     if K % 2:  # a = h - 1
         left, left_prev, out = p[1], p[0], p[2]
@@ -434,7 +419,7 @@ def _reach_rounds(table: _NeighbourTable, reach: np.ndarray, width: int, h: int,
         within = reach[k]
         step = nxt[:within]
         step[...] = table.head(within, (width,))(cur)
-        # the recursion's own operations on the same values (see _recurrence)
+        # the recursion's own operations on the same values (see _chebyshev)
         if eta:
             step *= 1.0 + eta
             step -= eta * prev[:within]

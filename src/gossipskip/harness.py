@@ -94,12 +94,15 @@ _ENGINE_KIND = "puda_nids"
 _REFERENCE_MARGIN = 1e-3
 
 
-def _typed(cast, expects: str, text: str):
-    """``text`` read by ``cast``; when that fails, the error says what was expected."""
+def _typed(cast, expects: str, text: str, ok=None, bound: str = ""):
+    """``text`` read by ``cast`` and held to ``bound`` by ``ok``; errors say what was expected."""
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
         raise ValueError(f"expected {expects}, got {text!r}") from None
+    if ok is not None and not ok(value):
+        raise ValueError(f"expected {expects} {bound}, got {text!r}")
+    return value
 
 
 def _choice(label: str, options: tuple[str, ...], text: str) -> str:
@@ -130,8 +133,8 @@ def _probability(p: float) -> float:
 
 def _distinct_ints(text: str) -> tuple[int, ...]:
     values = tuple(int(token) for token in text.split(","))
-    if len(set(values)) < len(values):
-        raise ValueError("repeated value")
+    if len(set(values)) < len(values) or min(values) < 0:
+        raise ValueError("repeated or negative value")
     return values
 
 
@@ -139,12 +142,18 @@ def _distinct_ints(text: str) -> tuple[int, ...]:
 _INT = partial(_typed, int, "an integer")  # int() takes integer literals only, not '1e4'
 _FLOAT = partial(_typed, float, "a number")
 _BOOL = partial(_typed, lambda text: bool(("false", "true").index(text)), "true or false")
-_SEEDS = partial(_typed, _distinct_ints, "distinct integers separated by commas")
+_SEEDS = partial(_typed, _distinct_ints, "distinct integers >= 0 separated by commas")
+_COUNT = partial(_INT, ok=lambda v: v >= 1, bound=">= 1")
+_RING_N = partial(_INT, ok=lambda v: v >= 3, bound=">= 3")
+_SEED = partial(_INT, ok=lambda v: v >= 0, bound=">= 0")
+_POSITIVE = partial(_FLOAT, ok=lambda v: 0.0 < v < math.inf, bound="in (0, inf)")
+_KAPPA = partial(_FLOAT, ok=lambda v: 1.0 <= v < math.inf, bound="in [1, inf)")
+_WEIGHT = partial(_FLOAT, ok=lambda v: 0.0 <= v < math.inf, bound="in [0, inf)")
+_UNIT = partial(_FLOAT, ok=lambda v: 0.0 < v <= 1.0, bound="in (0, 1]")
 _GRAPH_KIND = partial(_choice, "graph kind", ("ring", "random"))
 _PROBLEM_KIND = partial(_choice, "problem kind", ("least_squares", "logistic", "libsvm"))
 _ALG_KIND = partial(_choice, "algorithm kind", ("mg_skip", "skip1", _ENGINE_KIND))
 _KAPPA_RULE = partial(_choice, "kappa rule", ("half_over_gap",))
-_P = partial(_typed, lambda text: _probability(float(text)), "a number in (0, 1]")
 _ALPHA_RULE = partial(
     _rule, "alpha", ("one_over_5L", "one_over_L"), "float > 0", lambda v: 0.0 < float(v) < math.inf
 )
@@ -152,32 +161,34 @@ _K_RULE = partial(_rule, "K", ("default",), "int >= 1", lambda v: int(v) >= 1)
 
 # Every config key: section ("alg" stands for each "alg.<i>"), the kinds that
 # read it (None: all), reader, and default (None: absent unless set; an absent
-# "alg.<i>" key takes AlgorithmSpec's field default).
+# "alg.<i>" key takes AlgorithmSpec's field default).  Readers check each value's
+# range; limits tying two keys (iota against n, lsmooth < mu) are the builders'.
 _KEYS = (
     ("graph", "kind", None, _GRAPH_KIND, "ring"),
-    ("graph", "n", None, _INT, 15),
-    ("graph", "iota", ("random",), _FLOAT, 0.5),
-    ("graph", "seed", ("random",), _INT, 0),
+    ("graph", "n", ("ring",), _RING_N, 15),
+    ("graph", "n", ("random",), _COUNT, 15),
+    ("graph", "iota", ("random",), _UNIT, 0.5),
+    ("graph", "seed", ("random",), _SEED, 0),
     ("problem", "kind", None, _PROBLEM_KIND, "least_squares"),
-    ("problem", "seed", None, _INT, 0),
-    ("problem", "d", ("least_squares",), _INT, 10),
-    ("problem", "mu", ("least_squares",), _FLOAT, 1.0),
-    ("problem", "lsmooth", ("least_squares",), _FLOAT, None),
+    ("problem", "seed", None, _SEED, 0),
+    ("problem", "d", ("least_squares",), _COUNT, 10),
+    ("problem", "mu", ("least_squares",), _POSITIVE, 1.0),
+    ("problem", "lsmooth", ("least_squares",), _POSITIVE, None),
     ("problem", "kappa_rule", ("least_squares",), _KAPPA_RULE, None),
-    ("problem", "kappa", ("least_squares",), _FLOAT, 10.0),
-    ("problem", "gamma2", ("least_squares",), _FLOAT, 0.0),
-    ("problem", "d", ("logistic",), _INT, 22),
-    ("problem", "samples_per_node", ("logistic",), _INT, 100),
+    ("problem", "kappa", ("least_squares",), _KAPPA, 10.0),
+    ("problem", "gamma2", ("least_squares",), _WEIGHT, 0.0),
+    ("problem", "d", ("logistic",), _COUNT, 22),
+    ("problem", "samples_per_node", ("logistic",), _COUNT, 100),
     ("problem", "path", ("libsvm",), str, None),
-    ("problem", "gamma1", ("logistic", "libsvm"), _FLOAT, 0.01),
-    ("problem", "gamma2", ("logistic", "libsvm"), _FLOAT, 0.001),
+    ("problem", "gamma1", ("logistic", "libsvm"), _POSITIVE, 0.01),
+    ("problem", "gamma2", ("logistic", "libsvm"), _WEIGHT, 0.001),
     ("alg", "kind", None, _ALG_KIND, "mg_skip"),
     ("alg", "alpha", None, _ALPHA_RULE, None),
     ("alg", "name", None, str, None),
     # skip1 always gossips once; the engine neither skips nor takes a round count
-    ("alg", "p", ("mg_skip", "skip1"), _P, None),
+    ("alg", "p", ("mg_skip", "skip1"), _UNIT, None),
     ("alg", "K", ("mg_skip",), _K_RULE, None),
-    ("run", "T", None, _INT, 1000),
+    ("run", "T", None, _COUNT, 1000),
     ("run", "tol", None, _FLOAT, 0.0),
     ("run", "seeds", None, _SEEDS, (0,)),
     ("run", "diagnostics", None, _BOOL, False),

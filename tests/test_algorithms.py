@@ -510,6 +510,13 @@ class TestPUDA:
         assert np.array_equal(partial.ts, np.arange(partial.iterations))
         assert (partial.thetas == 1).all()
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_horizon_below_one_rejected(self, bench, T):
+        """As RunConfig does, the engine refuses a horizon with no iteration,
+        whose empty trace has no last row to summarise."""
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            puda_run(bench.problem, puda_nids(bench.gossip), bench.alpha, T, bench.reference)
+
     def test_engine_counters(self, bench):
         cfg = puda_mgskip_p1(bench.gossip)
         res = puda_run(bench.problem, cfg, bench.alpha, 2, bench.reference)

@@ -182,6 +182,19 @@ class TestRun:
             (("problem.d = 4", "problem.d = ten"), "problem.d: expected an integer, got 'ten'"),
             (("run.seeds = 0", "run.seeds = 0\nrun.diagnostics = no"),
              "run.diagnostics: expected true or false, got 'no'"),
+            (("run.T = 400", "run.T = 0"), "run.T: expected an integer >= 1, got '0'"),
+            (("run.seeds = 0", "run.seeds = -1"),
+             "run.seeds: expected distinct integers >= 0 separated by commas, got '-1'"),
+            (("graph.kind = random\ngraph.n = 5\ngraph.iota = 1.0\ngraph.seed = 0",
+              "graph.kind = ring\ngraph.n = 2"), "graph.n: expected an integer >= 3, got '2'"),
+            (("graph.iota = 1.0", "graph.iota = 0"), "graph.iota: expected a number in (0, 1]"),
+            (("problem.mu = 1.0", "problem.mu = -1"),
+             "problem.mu: expected a number in (0, inf), got '-1'"),
+            (("problem.seed = 2", "problem.seed = -2"),
+             "problem.seed: expected an integer >= 0, got '-2'"),
+            (("problem.d = 4", "problem.d = 0"), "problem.d: expected an integer >= 1, got '0'"),
+            (("problem.kappa = 6.0", "problem.kappa = 0.5"),
+             "problem.kappa: expected a number in [1, inf), got '0.5'"),
         ],
     )
     def test_config_error_exit_2(self, tmp_path, capsys, edit, message):

@@ -83,16 +83,22 @@ class TestMbar:
         ],
     )
     def test_half_round_build_matches_dense_recursion(self, kind, n, K):
-        """Every Mbar is built from ceil(K/2) rounds and two products: ring-200
-        (odd K = 55), ring-400 (even K = 110, and K = 1 on the gather), ring-15
-        at K = 1..6, ring-30 and a random 20-node graph.  It equals the K-round
-        dense recursion on I entrywise to 1e-14."""
+        """A gathered Mbar is built from ceil(K/2) rounds and two products:
+        ring-200 (odd K = 55) and ring-400 (even K = 110, and K = 1 on the
+        gather) equal the K-round dense recursion on I entrywise to 1e-14.
+        The dense kernel runs that recursion itself, so ring-15 at K = 1..6,
+        ring-30 and a random 20-node graph equal it exactly."""
         graph = build_ring(n) if kind == "ring" else build_random_connectivity(n, 0.3, seed=1)
         op = MultiGossipOperator.from_mixing(metropolis_weights(graph), K=K)
         if K is None and n in (200, 400):
             assert op.K == {200: 55, 400: 110}[n]
         expected = _dense_recursion(op.mixing.w, np.eye(n), op.K, op.eta)
-        assert np.abs(op.mbar - expected).max() <= 1e-14
+        if op.kernel == "dense":
+            assert n <= 30
+            assert np.array_equal(op.mbar, expected)
+        else:
+            assert n >= 200
+            assert np.abs(op.mbar - expected).max() <= 1e-14
         assert not op.mbar.flags.writeable
 
     @pytest.mark.parametrize("K, rounds", [(None, 55), (24, 12), (26, 13)])
@@ -212,8 +218,11 @@ class TestMbar:
         """On ring-400 a block of I reaches two more nodes per hop, so round k
         of the build gathers 32 + 2k rows on each full block and 16 + 2k on
         the last: 62,040 rows over the 55 rounds, against 13 * 55 * 400 =
-        286,000 for full rounds.  Every block of the random graph reaches all
-        400 nodes and gathers all of them in each of its 24 rounds."""
+        286,000 for full rounds.  Every block of the random tree reaches all
+        400 nodes within its 24 rounds, yet gathers only the rows it has
+        reached: 112,412 rows against 13 * 24 * 400 = 124,800, the first
+        block's rounds starting at 82, 134, 201 and 274 rows, and 105 of the
+        312 rounds gathering fewer than 400."""
         gathered = []
         gather = _NeighbourTable.__call__
 
@@ -227,7 +236,10 @@ class TestMbar:
         assert sum(gathered) == 62_040
         gathered.clear()
         MultiGossipOperator.from_mixing(reach_mixings["rand400"]).mbar
-        assert gathered == [400] * 13 * 24
+        assert len(gathered) == 13 * 24
+        assert sum(gathered) == 112_412
+        assert gathered[:4] == [82, 134, 201, 274]
+        assert sum(rows < 400 for rows in gathered) == 105
 
     def test_build_seconds_recorded(self, reach_mixings, ring15_mixing):
         for mixing in (reach_mixings["ring210"], ring15_mixing):

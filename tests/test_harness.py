@@ -74,6 +74,13 @@ summary.baseline = mg_skip_p1
 """
 
 
+# BASE_CONFIG's least-squares lines, which a logistic problem does not read
+_LEAST_SQUARES = (
+    "problem.kind = least_squares\nproblem.d = 10\nproblem.mu = 1.0\n"
+    "problem.kappa_rule = half_over_gap"
+)
+
+
 class TestParseConfig:
     def test_round_trip_fields(self):
         spec = parse_config(BASE_CONFIG)
@@ -236,6 +243,26 @@ class TestParseConfig:
                 "alg.1.name",
             ),
             ("alg.1.p = 0.5", "alg.1.p = 1.0", "alg.1.kind"),
+            ("run.T = 10", "run.T = 0", "run.T"),
+            ("problem.d = 10", "problem.d = 0", "problem.d"),
+            (_LEAST_SQUARES, "problem.kind = logistic\nproblem.d = 0", "problem.d"),
+            (_LEAST_SQUARES, "problem.kind = logistic\nproblem.samples_per_node = 0",
+             "problem.samples_per_node"),
+            ("graph.n = 15", "graph.n = 2", "graph.n"),
+            ("graph.kind = ring\ngraph.n = 15", "graph.kind = random\ngraph.n = 0", "graph.n"),
+            ("graph.kind = ring", "graph.kind = random\ngraph.seed = -1", "graph.seed"),
+            ("problem.seed = 1", "problem.seed = -2", "problem.seed"),
+            ("run.seeds = 0", "run.seeds = 1,-1", "run.seeds"),
+            ("problem.mu = 1.0", "problem.mu = -1", "problem.mu"),
+            ("problem.mu = 1.0", "problem.mu = 0", "problem.mu"),
+            ("problem.mu = 1.0", "problem.mu = inf", "problem.mu"),
+            ("problem.kappa_rule = half_over_gap", "problem.lsmooth = 0", "problem.lsmooth"),
+            (_LEAST_SQUARES, "problem.kind = logistic\nproblem.gamma1 = 0", "problem.gamma1"),
+            ("problem.kappa_rule = half_over_gap", "problem.kappa = 0.5", "problem.kappa"),
+            ("problem.mu = 1.0", "problem.mu = 1.0\nproblem.gamma2 = -0.1", "problem.gamma2"),
+            (_LEAST_SQUARES, "problem.kind = logistic\nproblem.gamma2 = nan", "problem.gamma2"),
+            ("graph.kind = ring", "graph.kind = random\ngraph.iota = 0", "graph.iota"),
+            ("graph.kind = ring", "graph.kind = random\ngraph.iota = 1.5", "graph.iota"),
         ],
         ids=[
             "n-float",
@@ -254,6 +281,25 @@ class TestParseConfig:
             "unknown-baseline",
             "repeated-name",
             "repeated-generated-name",
+            "T-zero",
+            "d-zero",
+            "logistic-d-zero",
+            "samples-zero",
+            "ring-n-2",
+            "random-n-0",
+            "graph-seed-negative",
+            "problem-seed-negative",
+            "run-seed-negative",
+            "mu-negative",
+            "mu-zero",
+            "mu-inf",
+            "lsmooth-zero",
+            "gamma1-zero",
+            "kappa-below-1",
+            "gamma2-negative",
+            "logistic-gamma2-nan",
+            "iota-zero",
+            "iota-above-1",
         ],
     )
     def test_bad_value_names_line_and_key(self, old, new, key):
@@ -261,6 +307,23 @@ class TestParseConfig:
         lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key + " ="))
         with pytest.raises(ValueError, match=rf"config line {lineno}: .*{re.escape(key)}"):
             parse_config(text)
+
+    def test_range_bounds_accepted(self):
+        """Each key's range includes its bound: a 3-node ring, a 1-node random
+        graph with iota = 1, kappa = 1, no L1 weight, seed 0 and T = 1."""
+        spec = parse_config(
+            BASE_CONFIG.replace("graph.n = 15", "graph.n = 3")
+            .replace("problem.kappa_rule = half_over_gap", "problem.kappa = 1\nproblem.gamma2 = 0")
+            .replace("problem.seed = 1", "problem.seed = 0")
+            .replace("run.T = 10", "run.T = 1")
+        )
+        assert (spec.graph["n"], spec.problem["kappa"], spec.problem["gamma2"]) == (3, 1.0, 0.0)
+        assert (spec.problem["seed"], spec.T, spec.seeds) == (0, 1, (0,))
+        spec = parse_config(
+            BASE_CONFIG.replace("graph.kind = ring\ngraph.n = 15", "graph.kind = random\n"
+                                "graph.n = 1\ngraph.iota = 1\ngraph.seed = 0")
+        )
+        assert spec.graph == {"kind": "random", "n": 1, "iota": 1.0, "seed": 0}
 
     @pytest.mark.parametrize(
         "text, problem",
