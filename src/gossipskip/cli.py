@@ -21,7 +21,6 @@ from .algorithms import (
 from .gossip import MultiGossipOperator, chebyshev_eta, default_K, verify_prop1
 from .harness import (
     ExperimentSpec,
-    UncertifiedReferenceError,
     build_graph,
     build_problem,
     parse_config,
@@ -236,7 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
     try:
         return command(args, spec, config_text)
-    except UncertifiedReferenceError as err:
+    except ValueError as err:
+        # a limit tying two config keys, which the builders check, or an
+        # uncertified reference; a run's own failure is a RuntimeError naming it
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -185,7 +185,8 @@ class MultiGossipOperator:
         if self.kernel == "dense":
             m = _chebyshev(self._apply_w, np.eye(self.n), self.K, self.eta)
         else:
-            # the build's own table: its (width, n, block) weight layouts go with it
+            # a table of the build's own, so a folded operator never holds one;
+            # each block gathers through its own on_rows table of it
             m = _half_round_build(_NeighbourTable(self.mixing.w), self.K, self.eta)
         m.setflags(write=False)
         # cached beside mbar, as the frozen dataclass takes no new attribute
@@ -210,15 +211,16 @@ class MultiGossipOperator:
     def half_gap_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs ``(h, V)`` of ``(I - Mbar)/2``: ``(I - Mbar)/2 = V diag(h) V^T``.
 
-        ``V`` holds the orthonormal eigenvectors of ``W``, and the eigenvalue
-        ``lam`` of ``W`` maps to ``h = (1 - p_K(lam))/2``.  The consensus
-        eigenvalue is exactly 0.  Read-only.
+        ``V`` holds the orthonormal eigenvectors of ``W`` from
+        :attr:`MixingMatrix.eigh`, which every operator on the same mixing
+        matrix shares, and the eigenvalue ``lam`` of ``W`` maps to
+        ``h = (1 - p_K(lam))/2``.  The consensus eigenvalue is exactly 0.
+        Read-only.
         """
-        lam, vecs = np.linalg.eigh(self.mixing.w)
+        lam, vecs = self.mixing.eigh
         h = 0.5 * (1.0 - self._on_eigenvalues(lam))
         h[h <= _NULL_TOL] = 0.0
         h.setflags(write=False)
-        vecs.setflags(write=False)
         return h, vecs
 
     def fast_goss(self, states: np.ndarray) -> np.ndarray:

@@ -44,6 +44,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,7 @@ __all__ = [
     "reference_certifies",
     "UncertifiedReferenceError",
     "TRACE_COLUMNS",
+    "SUMMARY_COLUMNS",
 ]
 
 TRACE_COLUMNS = (
@@ -85,6 +88,19 @@ TRACE_COLUMNS = (
     "grad_evals",
     "rel_err",
     "psi",
+)
+
+# summary.csv's columns: a per-run row fills the first six, an algorithm's mean
+# row all but grad_evals_to_tol
+SUMMARY_COLUMNS = (
+    "algorithm",
+    "seed",
+    "iterations_to_tol",
+    "comm_to_tol",
+    "grad_evals_to_tol",
+    "final_rel_err",
+    "iter_speedup_vs_baseline",
+    "comm_speedup_vs_baseline",
 )
 
 # the one deterministic primal-dual engine baseline; every other kind skips
@@ -189,7 +205,7 @@ _KEYS = (
     ("alg", "p", ("mg_skip", "skip1"), _UNIT, None),
     ("alg", "K", ("mg_skip",), _K_RULE, None),
     ("run", "T", None, _COUNT, 1000),
-    ("run", "tol", None, _FLOAT, 0.0),
+    ("run", "tol", None, _WEIGHT, 0.0),
     ("run", "seeds", None, _SEEDS, (0,)),
     ("run", "diagnostics", None, _BOOL, False),
     ("summary", "baseline", None, str, ""),
@@ -556,72 +572,34 @@ def _summary_row(name: str, seed: int, result: RunResult) -> dict:
 
 
 def _summarize(rows: list[dict], spec: ExperimentSpec) -> dict:
-    by_alg: dict[str, list[dict]] = {}
-    for row in rows:
-        by_alg.setdefault(row["algorithm"], []).append(row)
-
-    def mean_of(entries, key):
-        vals = [e[key] for e in entries if e[key] is not None]
-        return (sum(vals) / len(vals)) if len(vals) == len(entries) else None
-
-    means = {}
-    for name, entries in by_alg.items():
-        means[name] = {
-            "iterations_to_tol": mean_of(entries, "iterations_to_tol"),
-            "comm_to_tol": mean_of(entries, "comm_to_tol"),
-            "final_rel_err": sum(e["final_rel_err"] for e in entries) / len(entries),
-        }
+    means: dict[str, dict] = {}
+    # each algorithm's rows are consecutive, in config order
+    for name, runs in groupby(rows, itemgetter("algorithm")):
+        runs = list(runs)
+        mean = means[name] = {}
+        for key in ("iterations_to_tol", "comm_to_tol", "final_rel_err"):
+            # a run that missed the tolerance leaves its algorithm no mean
+            values = [row[key] for row in runs]
+            mean[key] = None if None in values else sum(values) / len(values)
     baseline = spec.baseline or spec.algorithms[0].name
     base = means[baseline]
-    for name, m in means.items():
-        for key, ratio_key in (
+    for mean in means.values():
+        for key, ratio in (
             ("iterations_to_tol", "iter_speedup_vs_baseline"),
             ("comm_to_tol", "comm_speedup_vs_baseline"),
         ):
-            if base[key] and m[key]:
-                m[ratio_key] = base[key] / m[key]
-            else:
-                m[ratio_key] = None
+            mean[ratio] = base[key] / mean[key] if base[key] and mean[key] else None
     return {"baseline": baseline, "per_run": rows, "mean": means}
 
 
 def _write_summary_csv(path: Path, summary: dict) -> None:
-    columns = [
-        "algorithm",
-        "seed",
-        "iterations_to_tol",
-        "comm_to_tol",
-        "grad_evals_to_tol",
-        "final_rel_err",
-        "iter_speedup_vs_baseline",
-        "comm_speedup_vs_baseline",
-    ]
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
+    """The per-run rows, then one ``mean`` row per algorithm by name, over
+    ``SUMMARY_COLUMNS``.  A cell a row lacks or holds as ``None`` is empty, a
+    float is written as its ``repr`` and anything else by ``str``: ``csv``'s
+    own rule."""
+    mean = summary["mean"]
+    means = ({"algorithm": name, "seed": "mean", **mean[name]} for name in sorted(mean))
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in summary["per_run"]:
-            writer.writerow(
-                [cell(row.get(c)) for c in columns[:6]] + ["", ""]
-            )
-        for name in sorted(summary["mean"]):
-            m = summary["mean"][name]
-            writer.writerow(
-                [
-                    name,
-                    "mean",
-                    cell(m["iterations_to_tol"]),
-                    cell(m["comm_to_tol"]),
-                    "",
-                    cell(m["final_rel_err"]),
-                    cell(m["iter_speedup_vs_baseline"]),
-                    cell(m["comm_speedup_vs_baseline"]),
-                ]
-            )
+        writer = csv.DictWriter(fh, SUMMARY_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(chain(summary["per_run"], means))

@@ -10,6 +10,7 @@ skipping-probability rules) keys off ``rho``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +104,9 @@ class MixingMatrix:
     w : ndarray, shape (n, n)
         The weights; read-only.
     eigenvalues : ndarray, shape (n,)
-        Real spectrum sorted descending; ``eigenvalues[0] == 1``.
+        Real spectrum sorted descending; ``eigenvalues[0] == 1``.  From
+        ``eigvalsh`` at construction, as ``rho`` needs it; :attr:`eigh`
+        decomposes ``w`` on first use.
     rho : float
         Spectral gap ``max{|lam_2|, |lam_n|}`` (0 for n == 1).
     """
@@ -156,6 +159,15 @@ class MixingMatrix:
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(w)``, computed on first use and shared by every
+        operator on this matrix.  Read-only."""
+        lam, vecs = np.linalg.eigh(self.w)
+        lam.setflags(write=False)
+        vecs.setflags(write=False)
+        return lam, vecs
 
 
 def build_ring(n: int) -> Graph:

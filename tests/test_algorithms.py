@@ -109,6 +109,10 @@ class TestStep:
         with pytest.raises(ValueError, match="alpha"):
             cfg.validate_for(bench.problem)
 
+    def test_config_rejects_empty_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            RunConfig(alpha=0.1, p=1.0, T=0)
+
 
 class TestRun:
     @pytest.mark.parametrize("runner", ["mg_skip_run", "puda_run"])
@@ -271,6 +275,12 @@ class TestRun:
         assert partial is not None and partial.iterations == 3
         assert partial.stop_reason == "divergence"
         assert np.isfinite(partial.rel_err).all()
+
+    def test_node_count_mismatch_rejected(self, bench):
+        gossip = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(6)))
+        cfg = RunConfig(alpha=bench.alpha, p=1.0, T=5)
+        with pytest.raises(ValueError, match="disagree on node count"):
+            mg_skip_run(bench.problem, gossip, cfg, bench.reference)
 
     def test_divergence_in_dual_caught_at_once(self):
         # a subnormal stepsize makes p/alpha overflow: Y turns infinite while X stays finite

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gossipskip
 from gossipskip.cli import main
 
 RING15_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ring15.cfg"
@@ -27,6 +31,29 @@ alg.0.kind = mg_skip
 alg.0.alpha = one_over_5L
 alg.0.p = 0.5
 """
+
+# limits that tie two keys, which the builders check: exit 2 like a bad value
+TWO_KEY_LIMITS = [
+    (("graph.n = 5\ngraph.iota = 1.0", "graph.n = 15\ngraph.iota = 0.05"),
+     "5 edges cannot connect 15 nodes"),
+    (("problem.mu = 1.0\nproblem.kappa = 6.0", "problem.mu = 2\nproblem.lsmooth = 1"),
+     "need 0 < mu <= lsmooth, got mu=2.0, lsmooth=1.0"),
+    # rho is about 0 on the complete graph, so lsmooth = mu / 2
+    (("problem.kappa = 6.0", "problem.kappa_rule = half_over_gap"),
+     "need 0 < mu <= lsmooth, got mu=1.0"),
+]
+
+
+def test_module_help_exit_0():
+    """``python -m gossipskip.cli --help`` lists the subcommands and exits 0."""
+    src = str(Path(gossipskip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gossipskip.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "{run,verify,topology,sweep}" in done.stdout
 
 
 class TestTopology:
@@ -195,6 +222,9 @@ class TestRun:
             (("problem.d = 4", "problem.d = 0"), "problem.d: expected an integer >= 1, got '0'"),
             (("problem.kappa = 6.0", "problem.kappa = 0.5"),
              "problem.kappa: expected a number in [1, inf), got '0.5'"),
+            (("alg.0.kind = mg_skip\nalg.0.alpha = one_over_5L\nalg.0.p = 0.5", ""),
+             "need at least one algorithm"),
+            *TWO_KEY_LIMITS,
         ],
     )
     def test_config_error_exit_2(self, tmp_path, capsys, edit, message):
@@ -224,8 +254,20 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["verify"], ["sweep", "--p", "1,0.5"]])
+    @pytest.mark.parametrize("edit, message", TWO_KEY_LIMITS)
+    def test_two_key_limit_exit_2(self, tmp_path, capsys, command, edit, message):
+        """``verify`` and ``sweep`` refuse what ``run`` refuses, with one line."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG.replace(*edit))
+        out = ["--out", str(tmp_path / "o")] if command[0] == "sweep" else []
+        assert main([command[0], "--config", str(config), *out, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
     def test_run_time_error_still_raises(self, tmp_path):
-        # only parsing is caught; a config that parses but cannot run raises
+        # a config that is built but fails in its run is no config error: it raises
         config = tmp_path / "exp.cfg"
         config.write_text(
             COMPLETE_GRAPH_CONFIG.replace("alg.0.alpha = one_over_5L", "alg.0.alpha = fixed:10")

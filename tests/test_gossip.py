@@ -62,6 +62,11 @@ class TestDefaultK:
     def test_clamped_to_one(self):
         assert default_K(0.1) == 1
 
+    @pytest.mark.parametrize("rho", [-0.1, 1.0])
+    def test_domain_error(self, rho):
+        with pytest.raises(ValueError, match=r"spectral gap must be in \[0, 1\)"):
+            default_K(rho)
+
 
 class TestMbar:
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 6])
@@ -171,10 +176,10 @@ class TestMbar:
         of full-row rounds bit for bit: ring-400 at K = 110, 24, 26 and at
         K = 1, 2, 3 (h <= 2, where P_{h-2} may be P_{-1} = 0); ring-210, whose
         last block is partial, also at K = 181, where only that block stops
-        short of every node; ring-512; a random graph with padded rows,
-        whose blocks all reach every node and keep full rounds; and an odd
-        ring with a zero diagonal, where no node is its own neighbour and
-        the last block is node 416 alone.  At K = 1, eta = 0 it is W
+        short of every node; ring-512; a random tree with padded rows, whose
+        blocks gather fewer than all 400 rows in 105 of their 312 rounds; and
+        an odd ring with a zero diagonal, where no node is its own neighbour
+        and the last block is node 416 alone.  At K = 1, eta = 0 it is W
         exactly."""
         mixing = reach_mixings[graph]
         if eta is None:
@@ -396,6 +401,21 @@ class TestHalfGapEigh:
         consensus = vecs[:, null] * math.sqrt(op.n)
         assert np.abs(np.abs(consensus) - 1.0).max() <= 1e-12
         assert np.all(np.sign(consensus) == np.sign(consensus[0]))
+
+    def test_one_eigh_per_mixing(self, monkeypatch):
+        """Operators on one mixing matrix share its one ``eigh``, whose values
+        are those of a call of their own."""
+        mixing = metropolis_weights(build_ring(15))
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda w: calls.append(w) or eigh(w))
+        multi = MultiGossipOperator.from_mixing(mixing, K=4)
+        single = MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
+        (_, vecs), (h, single_vecs) = multi.half_gap_eigh, single.half_gap_eigh
+        assert len(calls) == 1 and single_vecs is vecs
+        lam, own = eigh(mixing.w)
+        assert np.array_equal(vecs, own) and np.array_equal(mixing.eigh[0], lam)
+        # at K = 1, eta = 0, Mbar = W: h = (1 - lam)/2 with the consensus mode at 0
+        assert np.array_equal(h[:-1], 0.5 * (1.0 - lam[:-1])) and h[-1] == 0.0
 
     def test_read_only(self, bench):
         h, vecs = bench.gossip.half_gap_eigh

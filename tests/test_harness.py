@@ -10,7 +10,9 @@ import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,6 +265,9 @@ class TestParseConfig:
             (_LEAST_SQUARES, "problem.kind = logistic\nproblem.gamma2 = nan", "problem.gamma2"),
             ("graph.kind = ring", "graph.kind = random\ngraph.iota = 0", "graph.iota"),
             ("graph.kind = ring", "graph.kind = random\ngraph.iota = 1.5", "graph.iota"),
+            ("run.tol = 0.0", "run.tol = inf", "run.tol"),
+            ("run.tol = 0.0", "run.tol = nan", "run.tol"),
+            ("run.tol = 0.0", "run.tol = -1e-7", "run.tol"),
         ],
         ids=[
             "n-float",
@@ -300,6 +305,9 @@ class TestParseConfig:
             "logistic-gamma2-nan",
             "iota-zero",
             "iota-above-1",
+            "tol-inf",
+            "tol-nan",
+            "tol-negative",
         ],
     )
     def test_bad_value_names_line_and_key(self, old, new, key):
@@ -310,20 +318,40 @@ class TestParseConfig:
 
     def test_range_bounds_accepted(self):
         """Each key's range includes its bound: a 3-node ring, a 1-node random
-        graph with iota = 1, kappa = 1, no L1 weight, seed 0 and T = 1."""
+        graph with iota = 1, kappa = 1, no L1 weight, seed 0, T = 1 and tol = 0;
+        and a run.tol of 1e-7, as the shipped configs set."""
         spec = parse_config(
             BASE_CONFIG.replace("graph.n = 15", "graph.n = 3")
             .replace("problem.kappa_rule = half_over_gap", "problem.kappa = 1\nproblem.gamma2 = 0")
             .replace("problem.seed = 1", "problem.seed = 0")
             .replace("run.T = 10", "run.T = 1")
+            .replace("run.tol = 0.0", "run.tol = 0")
         )
         assert (spec.graph["n"], spec.problem["kappa"], spec.problem["gamma2"]) == (3, 1.0, 0.0)
-        assert (spec.problem["seed"], spec.T, spec.seeds) == (0, 1, (0,))
+        assert (spec.problem["seed"], spec.T, spec.seeds, spec.tol) == (0, 1, (0,), 0.0)
+        assert parse_config(BASE_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-7")).tol == 1e-7
         spec = parse_config(
             BASE_CONFIG.replace("graph.kind = ring\ngraph.n = 15", "graph.kind = random\n"
                                 "graph.n = 1\ngraph.iota = 1\ngraph.seed = 0")
         )
         assert spec.graph == {"kind": "random", "n": 1, "iota": 1.0, "seed": 0}
+
+    def test_every_numeric_key_is_ranged(self):
+        """No key reads a bare integer or number: each takes a bound, so inf,
+        nan or a negative value never reaches a run unchecked."""
+        unranged = [
+            f"{section}.{field}"
+            for section, field, _, reader, _ in harness._KEYS
+            if isinstance(reader, partial)
+            and reader.func is harness._typed
+            and reader.args[0] in (int, float)
+            and reader.keywords.get("ok") is None
+        ]
+        assert unranged == []
+
+    def test_empty_value_names_line(self):
+        with pytest.raises(ValueError, match="config line 2: empty key or value"):
+            parse_config("graph.kind = ring\nrun.T =\nalg.0.kind = mg_skip\n")
 
     @pytest.mark.parametrize(
         "text, problem",
@@ -622,6 +650,40 @@ class TestRunExperiment:
             assert float(means[name]["comm_to_tol"]) == m["comm_to_tol"]
             assert float(means[name]["final_rel_err"]) == m["final_rel_err"]
             assert float(means[name]["comm_speedup_vs_baseline"]) == m["comm_speedup_vs_baseline"]
+
+    def test_summary_rows_share_one_layout(self, tmp_path):
+        """Means group each algorithm's runs in config order; a run that missed
+        the tolerance leaves no mean and no speedup.  In ``summary.csv`` the
+        mean rows follow by name, a cell a row lacks or holds as ``None`` is
+        empty, a float is its ``repr`` and an integer its digits."""
+        rows = [
+            {"algorithm": "b", "seed": 0, "iterations_to_tol": 3, "comm_to_tol": 6,
+             "grad_evals_to_tol": 3, "final_rel_err": 0.1},
+            {"algorithm": "b", "seed": 1, "iterations_to_tol": 4, "comm_to_tol": 8,
+             "grad_evals_to_tol": 4, "final_rel_err": 0.2},
+            {"algorithm": "a", "seed": 0, "iterations_to_tol": None, "comm_to_tol": None,
+             "grad_evals_to_tol": None, "final_rel_err": 0.5},
+        ]
+        spec = SimpleNamespace(baseline="", algorithms=(SimpleNamespace(name="b"),))
+        summary = harness._summarize(rows, spec)
+        assert summary["baseline"] == "b" and summary["per_run"] is rows
+        assert summary["mean"] == {
+            "b": {"iterations_to_tol": 3.5, "comm_to_tol": 7.0,
+                  "final_rel_err": 0.15000000000000002,
+                  "iter_speedup_vs_baseline": 1.0, "comm_speedup_vs_baseline": 1.0},
+            "a": {"iterations_to_tol": None, "comm_to_tol": None, "final_rel_err": 0.5,
+                  "iter_speedup_vs_baseline": None, "comm_speedup_vs_baseline": None},
+        }
+        assert list(summary["mean"]) == ["b", "a"]
+        harness._write_summary_csv(tmp_path / "summary.csv", summary)
+        assert (tmp_path / "summary.csv").read_text() == (
+            ",".join(harness.SUMMARY_COLUMNS) + "\n"
+            "b,0,3,6,3,0.1,,\n"
+            "b,1,4,8,4,0.2,,\n"
+            "a,0,,,,0.5,,\n"
+            "a,mean,,,,0.5,,\n"
+            "b,mean,3.5,7.0,,0.15000000000000002,1.0,1.0\n"
+        )
 
     def test_monotone_counters_in_trace(self, tmp_path):
         spec = parse_config(BASE_CONFIG)

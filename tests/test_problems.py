@@ -96,6 +96,17 @@ class TestLogistic:
         with pytest.raises(ValueError):
             gen_logistic(3, 4, 10, gamma1=0.0, gamma2=0.0, seed=0)
 
+    def test_requires_nonnegative_gamma2(self):
+        with pytest.raises(ValueError, match="gamma2 must be nonnegative, got -0.1"):
+            gen_logistic(3, 4, 10, gamma1=0.1, gamma2=-0.1, seed=0)
+
+    def test_loss_checks_gamma1_and_labels(self):
+        feats = np.ones((2, 3))
+        with pytest.raises(ValueError, match="gamma1 must be positive"):
+            LogisticLoss(features=feats, labels=np.ones(2), gamma1=0.0)
+        with pytest.raises(ValueError, match="labels must be in"):
+            LogisticLoss(features=feats, labels=np.array([1.0, 0.0]), gamma1=0.1)
+
     def test_zero_features_reduce_to_ridge(self):
         loss = LogisticLoss(
             features=np.zeros((5, 3)), labels=np.ones(5), gamma1=0.01
@@ -218,6 +229,20 @@ class TestLibsvm:
         with pytest.raises(ValueError, match="no samples"):
             load_libsvm(path, n=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            ("+1 1:1.0\nyes 2:1.0\n", 1, "line 2: bad label 'yes'"),
+            ("+1 1:1.0\n-1 0:1.0\n", 1, "line 2: indices are 1-based, got 0"),
+            ("+1 1:1.0\n-1 2:1.0\n", 3, "cannot split 2 samples across 3 nodes"),
+        ],
+        ids=["bad-label", "zero-index", "fewer-samples-than-nodes"],
+    )
+    def test_rejected(self, tmp_path, text, n, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=message):
+            load_libsvm(path, n=n, seed=0)
+
     def test_partition_deterministic_and_balanced(self, tmp_path):
         lines = [f"{'+1' if i % 2 else '-1'} 1:{i}.0 4:1.0" for i in range(10)]
         path = self.write(tmp_path, "\n".join(lines) + "\n")
@@ -275,6 +300,13 @@ class TestCentralizedSolve:
         p = ProblemInstance(losses=(loss,), reg=ZeroReg(), dim=2)
         ref = centralized_solve(p, tol=1e-14)
         assert np.linalg.norm(ref.xstar - c) <= 1e-13
+
+    def test_direct_solve_refuses_what_it_cannot_certify(self):
+        p = gen_least_squares(4, 3, 1.0, 4.0, seed=0)
+        with pytest.raises(CentralizedSolveError, match="does not certify 1e-20") as err:
+            centralized_solve(p, tol=1e-20)
+        best = err.value.best
+        assert best.iterations == 0 and best.error_bound > 1e-20 * np.linalg.norm(best.xstar)
 
     def test_l1_quadratic_closed_form(self):
         # 0.5 (x-2)^2 + |x|  ->  x* = 1
@@ -436,6 +468,15 @@ class TestProblemInstance:
             want = centralized_solve(looped).xstar
             got = centralized_solve(p).xstar
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_requires_losses_of_one_dimension(self):
+        with pytest.raises(ValueError, match="at least one node loss"):
+            ProblemInstance(losses=(), reg=ZeroReg(), dim=2)
+        losses = tuple(
+            QuadraticLoss(a=np.eye(d), b=np.zeros(d), mu=1.0, lsmooth=1.0) for d in (2, 3)
+        )
+        with pytest.raises(ValueError, match="inconsistent loss dimensions"):
+            ProblemInstance(losses=losses, reg=ZeroReg(), dim=2)
 
     def test_requires_strong_convexity(self):
         loss = QuadraticLoss(a=np.zeros((2, 2)), b=np.zeros(2), mu=0.0, lsmooth=0.0)

@@ -56,6 +56,10 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(n=3, edges=((0, 0), (0, 1), (1, 2)))
 
+    def test_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1,3\) out of range for n=3"):
+            Graph(n=3, edges=((0, 1), (1, 3)))
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
             Graph(n=4, edges=((0, 1), (2, 3)))
@@ -164,6 +168,15 @@ class TestMixingValidation:
         w = np.full((4, 4), 0.25)
         with pytest.raises(ValueError, match="edge set"):
             MixingMatrix.from_matrix(w, graph=g)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            MixingMatrix.from_matrix(np.full((2, 3), 1.0 / 3.0))
+
+    def test_graph_size_must_match(self):
+        w = metropolis_weights(build_ring(3)).w
+        with pytest.raises(ValueError, match="graph size does not match"):
+            MixingMatrix.from_matrix(w, graph=build_ring(4))
 
     def test_weights_are_immutable(self, ring15_mixing):
         with pytest.raises(ValueError):
