@@ -181,8 +181,7 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str)
         # an empty name relabels each variant; AlgorithmSpec checks p is in (0, 1]
         variants = [replace(alg, p=p, name="") for alg in spec.algorithms for p in p_values]
     except ValueError as err:
-        print(f"config error: --p {args.p!r}: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--p {args.p!r}: {err}") from None
     # rows whose label ignores p collapse to their first variant
     expanded: dict = {}
     for variant in variants:
@@ -227,17 +226,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config file not found: {config}", file=sys.stderr)
         return 2
     config_text = config.read_text()
-    try:
-        spec = parse_config(config_text, base_dir=config.parent)
-    except (ValueError, FileNotFoundError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
     try:
-        return command(args, spec, config_text)
-    except ValueError as err:
-        # a limit tying two config keys, which the builders check, or an
-        # uncertified reference; a run's own failure is a RuntimeError naming it
+        return command(args, parse_config(config_text, base_dir=config.parent), config_text)
+    except (ValueError, FileNotFoundError) as err:
+        # a bad config value or --p grid, a limit tying two config keys or a
+        # row's stepsize, which the builders check, or an uncertified reference;
+        # a run's own failure is a RuntimeError naming it
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -174,7 +174,7 @@ class MultiGossipOperator:
         """Dense ``M_K``, the matrix :meth:`fast_goss` applies.  Read-only.
 
         The dense kernel runs the ``K`` rounds of the recursion on ``I``
-        itself.  The others build it by :func:`_half_round_build` through a
+        itself.  The others build it by :func:`_half_round_build` from a
         neighbour table of its own, which it frees, so the operator then
         holds ``Mbar`` and nothing else the build made; it agrees with the
         ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400).
@@ -185,8 +185,7 @@ class MultiGossipOperator:
         if self.kernel == "dense":
             m = _chebyshev(self._apply_w, np.eye(self.n), self.K, self.eta)
         else:
-            # a table of the build's own, so a folded operator never holds one;
-            # each block gathers through its own on_rows table of it
+            # a table of the build's own, so a folded operator never holds one
             m = _half_round_build(_NeighbourTable(self.mixing.w), self.K, self.eta)
         m.setflags(write=False)
         # cached beside mbar, as the frozen dataclass takes no new attribute
@@ -255,13 +254,8 @@ class _NeighbourTable:
     ``idx`` and ``wts`` have shape ``(width, n)``: row ``i`` of ``W @ s``
     is ``sum_k wts[k, i] * s[idx[k, i]]``.  Rows with fewer than
     ``width`` nonzeros are padded with weight 0 on the node itself.
-    ``wts_by_shape`` maps each trailing state shape met so far to a
-    read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the
-    multiply then runs over contiguous operands instead of broadcasting
-    ``wts`` with stride 0, which took about half of each round.  The
-    tables :meth:`on_rows` and :meth:`head` derive gather fewer rows with
-    the same slots in the same order, so each row's sum is unchanged; a
-    :meth:`head` table's layout is a view of its parent's.
+    ``wts_by_shape`` maps each trailing state shape met so far to its
+    :func:`_layout` of ``wts``, and a call gathers through :func:`_gather`.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -275,40 +269,33 @@ class _NeighbourTable:
         self.wts[slot, rows] = w[rows, cols]
         self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
 
-    @classmethod
-    def _of(cls, idx: np.ndarray, wts: np.ndarray) -> _NeighbourTable:
-        table = cls.__new__(cls)
-        table.idx, table.wts, table.wts_by_shape = idx, wts, {}
-        return table
-
     def layout(self, trailing: tuple[int, ...]) -> np.ndarray:
         """``wts`` laid out as ``(width, n, *trailing)``, built on first use."""
         wts = self.wts_by_shape.get(trailing)
         if wts is None:
-            column = self.wts.reshape(self.wts.shape + (1,) * len(trailing))
-            wts = np.broadcast_to(column, self.wts.shape + trailing).copy()
-            wts.setflags(write=False)
             # concurrent first calls build equal copies; every caller uses the stored one
-            wts = self.wts_by_shape.setdefault(trailing, wts)
+            wts = self.wts_by_shape.setdefault(trailing, _layout(self.wts, trailing))
         return wts
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        g = np.take(s, self.idx, axis=0)
-        g *= self.layout(s.shape[1:])
-        return g.sum(axis=0)
+        return _gather(s, self.idx, self.layout(s.shape[1:]))
 
-    def on_rows(self, rows: np.ndarray) -> _NeighbourTable:
-        """The table of ``rows`` alone, renumbered in their order.  A neighbour
-        outside ``rows`` is read from row ``len(rows)``, which callers keep at zero."""
-        local = np.full(self.idx.shape[1], rows.size)
-        local[rows] = np.arange(rows.size)
-        return self._of(local[self.idx[:, rows]], self.wts[:, rows])
 
-    def head(self, count: int, trailing: tuple[int, ...]) -> _NeighbourTable:
-        """The table of the first ``count`` rows, sharing this table's layout for ``trailing``."""
-        table = self._of(self.idx[:, :count], self.wts[:, :count])
-        table.wts_by_shape[trailing] = self.layout(trailing)[:, :count]
-        return table
+def _layout(wts: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
+    """A read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the gather's
+    multiply then runs over contiguous operands, not ``wts`` broadcast with stride 0
+    (which took about half of each round)."""
+    column = wts.reshape(wts.shape + (1,) * len(trailing))
+    out = np.broadcast_to(column, wts.shape + trailing).copy()
+    out.setflags(write=False)
+    return out
+
+
+def _gather(s: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """``sum_k wts[k, i] * s[idx[k, i]]`` for each row ``i``, ``wts`` as :func:`_layout` gives it."""
+    g = np.take(s, idx, axis=0)
+    g *= wts
+    return g.sum(axis=0)
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
@@ -361,9 +348,12 @@ def _half_round_build(table: _NeighbourTable, K: int, eta: float) -> np.ndarray:
         reach = np.cumsum(np.bincount(hops[:, block], minlength=h + 1))
         # nearest first; the block's own nodes, at 0 hops, keep their order
         rows = np.argsort(hops[:, block], kind="stable")[: reach[h]]
-        rounds = _reach_rounds(table.on_rows(rows), reach, min(_MBAR_BLOCK, n - top), h, eta)
-        for out, local in zip(p, rounds):
-            out[rows, cols] = local
+        local = np.full(n, rows.size)  # renumbered; a neighbour beyond them reads row rows.size
+        local[rows] = np.arange(rows.size)
+        wts = _layout(table.wts[:, rows], (min(_MBAR_BLOCK, n - top),))
+        rounds = _reach_rounds(local[table.idx[:, rows]], wts, reach, h, eta)
+        for out, values in zip(p, rounds):
+            out[rows, cols] = values
     # the left operands P_a, P_{a-1}, and the output
     if K % 2:  # a = h - 1
         left, left_prev, out = p[1], p[0], p[2]
@@ -403,24 +393,24 @@ def _block_hops(idx: np.ndarray, n: int, h: int) -> np.ndarray:
     return hops
 
 
-def _reach_rounds(table: _NeighbourTable, reach: np.ndarray, width: int, h: int, eta: float):
+def _reach_rounds(idx: np.ndarray, wts: np.ndarray, reach: np.ndarray, h: int, eta: float):
     """One block's ``P_{h-2}``, ``P_{h-1}`` and ``P_h`` on its reached rows.
 
-    ``table`` holds the block's rows nearest first, its own ``width``
-    nodes leading; ``reach[k]`` of them lie within ``k`` hops.  Round
-    ``k`` gathers only those rows, as ``P_k`` is zero on the rest.  Three
-    buffers hold the iterates, with one zero row past the reached ones
-    for the neighbours beyond them; the buffer each round writes held
-    ``P_{k-3}``, whose rows all lie within ``reach[k]``, so every row it
-    does not write is still zero.
+    ``idx`` and ``wts``, laid out for the block's ``width`` columns, gather
+    the block's rows nearest first, its own nodes leading; ``reach[k]`` of
+    them lie within ``k`` hops.  Round ``k`` gathers through the first
+    ``reach[k]`` rows only, as ``P_k`` is zero on the rest.  Three buffers
+    hold the iterates, with one zero row past the reached ones for the
+    neighbours beyond them; the buffer each round writes held ``P_{k-3}``,
+    whose rows all lie within ``reach[k]``, so no row it skips is nonzero.
     """
-    size = table.idx.shape[1]
+    size, width = wts.shape[1:]
     prev, cur, nxt = (np.zeros((size + 1, width)) for _ in range(3))  # P_{-1}, P_0, spare
     cur[:width] = np.eye(width)
     for k in range(1, h + 1):
         within = reach[k]
         step = nxt[:within]
-        step[...] = table.head(within, (width,))(cur)
+        step[...] = _gather(cur, idx[:, :within], wts[:, :within])
         # the recursion's own operations on the same values (see _chebyshev)
         if eta:
             step *= 1.0 + eta

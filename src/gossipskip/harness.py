@@ -452,9 +452,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     build; ``mbar_build_seconds`` gives the build's own seconds under the
     algorithm whose run built it.
 
-    Raises :class:`UncertifiedReferenceError`, before anything is written,
+    Raises, before anything is written, :class:`UncertifiedReferenceError`
     when the reference does not certify ``spec.tol`` (see
-    :func:`reference_certifies`).
+    :func:`reference_certifies`), and a ``ValueError`` naming the first
+    skipping row whose stepsize :meth:`RunConfig.validate_for` rejects.
     """
     started = time.time()
     phases: dict[str, float] = {}
@@ -472,6 +473,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
             f"run.tol = {spec.tol:g} needs x* certified to {_REFERENCE_MARGIN * spec.tol:.1e} "
             f"relative; its certified bound is {reference.relative_error_bound:.1e}"
         )
+    for alg in (alg for alg in spec.algorithms if alg.kind != _ENGINE_KIND):
+        try:
+            RunConfig(alg.resolve_alpha(problem.L), alg.p, spec.T).validate_for(problem)
+        except ValueError as err:
+            raise ValueError(f"{alg.name}: {err}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -330,23 +330,16 @@ def gen_logistic(
     """Synthetic binary logistic regression with an L1 term.
 
     Features are standard normal; labels come from a random
-    ground-truth hyperplane.  The ridge weight ``gamma1 > 0`` lives in
-    the smooth part (it provides strong convexity), the L1 weight
-    ``gamma2 >= 0`` goes to the prox.
+    ground-truth hyperplane.  The instance is built by
+    :func:`logistic_from_parts`.
     """
-    if gamma1 <= 0.0:
-        raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    if gamma2 < 0.0:
-        raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _LOGISTIC_STREAM]))
     truth = rng.standard_normal(d)
-    losses = []
+    parts = []
     for _ in range(n):
         feats = rng.standard_normal((samples_per_node, d))
-        labels = np.where(feats @ truth >= 0.0, 1.0, -1.0)
-        losses.append(LogisticLoss(features=feats, labels=labels, gamma1=gamma1))
-    reg = L1Reg(weight=gamma2) if gamma2 > 0.0 else ZeroReg()
-    return ProblemInstance(losses=tuple(losses), reg=reg, dim=d)
+        parts.append((feats, np.where(feats @ truth >= 0.0, 1.0, -1.0)))
+    return logistic_from_parts(parts, gamma1, gamma2)
 
 
 def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -424,7 +417,13 @@ def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, n
 def logistic_from_parts(
     parts: list[tuple[np.ndarray, np.ndarray]], gamma1: float, gamma2: float
 ) -> ProblemInstance:
-    """Wrap partitioned ``(features, labels)`` data as a logistic instance."""
+    """Wrap partitioned ``(features, labels)`` data as a logistic instance.
+
+    The ridge weight ``gamma1 > 0`` lives in the smooth part (it provides
+    strong convexity), the L1 weight ``gamma2 >= 0`` goes to the prox.
+    """
+    if gamma2 < 0.0:
+        raise ValueError(f"gamma2 must be nonnegative, got {gamma2}")
     losses = tuple(
         LogisticLoss(features=f, labels=y, gamma1=gamma1) for f, y in parts
     )

@@ -266,13 +266,41 @@ class TestRun:
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, bad_row, name",
+        [
+            (["run"], 0, "mg_skip_p0.5"),
+            (["run"], 1, "skip1_p1"),
+            (["sweep", "--p", "1,0.5"], 0, "mg_skip_p1"),
+            (["sweep", "--p", "1,0.5"], 1, "skip1_p1"),
+        ],
+    )
+    def test_oversized_stepsize_exit_2(self, tmp_path, capsys, command, bad_row, name):
+        """A skipping row with alpha * L >= 2 (L = 6 here) is refused before any
+        output exists, whether it is the first row or the second."""
+        text = COMPLETE_GRAPH_CONFIG + "alg.1.kind = skip1\nalg.1.alpha = one_over_5L\n"
+        config = tmp_path / "exp.cfg"
+        bad = text.replace(f"alg.{bad_row}.alpha = one_over_5L", f"alg.{bad_row}.alpha = fixed:1")
+        config.write_text(bad)
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {name}: alpha*L = 6 must be < 2\n"
+        assert not (tmp_path / "o").exists()
+
+    # the diverging engine overflows on its way to a non-finite iterate
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_run_time_error_still_raises(self, tmp_path):
-        # a config that is built but fails in its run is no config error: it raises
+        # a config that is built but fails in its run is no config error: it raises.
+        # The engine row's stepsize is not checked before its run; here it diverges
         config = tmp_path / "exp.cfg"
         config.write_text(
-            COMPLETE_GRAPH_CONFIG.replace("alg.0.alpha = one_over_5L", "alg.0.alpha = fixed:10")
+            COMPLETE_GRAPH_CONFIG.replace(
+                "alg.0.kind = mg_skip\nalg.0.alpha = one_over_5L\nalg.0.p = 0.5",
+                "alg.0.kind = puda_nids\nalg.0.alpha = fixed:10",
+            )
         )
-        with pytest.raises(RuntimeError, match="must be < 2"):
+        with pytest.raises(RuntimeError, match="run puda_nids/seed0 failed: non-finite iterate"):
             main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
 
 

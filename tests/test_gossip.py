@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import gossipskip
+from gossipskip import gossip as gossip_module
 from gossipskip import (
     MixingMatrix,
     MultiGossipOperator,
@@ -111,14 +112,14 @@ class TestMbar:
         """Ring-400's build runs ceil(K/2) gathered rounds on each of its 13
         blocks of I: 55 at the default K = 110, not 110."""
         calls = 0
-        gather = _NeighbourTable.__call__
+        gather = gossip_module._gather
 
-        def counted(table, s):
+        def counted(s, idx, wts):
             nonlocal calls
             calls += 1
-            return gather(table, s)
+            return gather(s, idx, wts)
 
-        monkeypatch.setattr(_NeighbourTable, "__call__", counted)
+        monkeypatch.setattr(gossip_module, "_gather", counted)
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)), K=K)
         op.mbar
         assert op.kernel == "folded"
@@ -229,13 +230,13 @@ class TestMbar:
         block's rounds starting at 82, 134, 201 and 274 rows, and 105 of the
         312 rounds gathering fewer than 400."""
         gathered = []
-        gather = _NeighbourTable.__call__
+        gather = gossip_module._gather
 
-        def counted(table, s):
-            gathered.append(table.idx.shape[1])
-            return gather(table, s)
+        def counted(s, idx, wts):
+            gathered.append(idx.shape[1])
+            return gather(s, idx, wts)
 
-        monkeypatch.setattr(_NeighbourTable, "__call__", counted)
+        monkeypatch.setattr(gossip_module, "_gather", counted)
         MultiGossipOperator.from_mixing(reach_mixings["ring400"]).mbar
         assert gathered == [width + 2 * k for width in [32] * 12 + [16] for k in range(1, 56)]
         assert sum(gathered) == 62_040

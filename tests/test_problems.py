@@ -100,6 +100,13 @@ class TestLogistic:
         with pytest.raises(ValueError, match="gamma2 must be nonnegative, got -0.1"):
             gen_logistic(3, 4, 10, gamma1=0.1, gamma2=-0.1, seed=0)
 
+    def test_parts_require_nonnegative_gamma2(self):
+        """Partitioned data is held to gen_logistic's rule: a negative L1 weight
+        is an error, not a silently dropped regularizer."""
+        parts = [(np.ones((2, 3)), np.ones(2))]
+        with pytest.raises(ValueError, match="gamma2 must be nonnegative, got -0.5"):
+            logistic_from_parts(parts, 0.1, -0.5)
+
     def test_loss_checks_gamma1_and_labels(self):
         feats = np.ones((2, 3))
         with pytest.raises(ValueError, match="gamma1 must be positive"):
