@@ -10,7 +10,11 @@ triggers one multi-gossip exchange:
     Y   <- Y + (p/alpha) * Zbar
     X   <- prox_{alpha R}(Z - Zbar)
 
-Skipped iterations (``theta = 0``) move no bytes.  The diagnostics
+Skipped iterations (``theta = 0``) move no bytes.  :func:`mg_skip_step`
+evaluates these lines in place, on the fresh gradient and the fresh
+gossip output, with the same floating-point operations in the same
+order, so its iterates, and every trace, equal the plain expressions'
+bit for bit.  The diagnostics
 implement the matching fixed-point residual, the Lyapunov value
 ``psi = ||X-X*||^2 + (alpha/p)^2 ||U-U*||^2`` with ``U`` reconstructed
 from ``Y`` through the pseudo-inverse of ``S = sqrt((I-Mbar)/2)``, taken
@@ -88,7 +92,7 @@ class RunConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MGSkipState:
     """Stacked primal iterates ``X`` and scaled dual ``Y``."""
 
@@ -114,6 +118,18 @@ def coin_stream(seed: int, T: int) -> np.ndarray:
     return rng.random(T)
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, as ``np.isfinite(a).all()``.
+
+    A non-finite entry makes the sum of squares non-finite, so a finite sum
+    settles it in one dot product; only a non-finite one, which an overflow
+    of finite entries also gives, takes the entrywise test.  That overflow
+    warns unless numpy's ``over`` errors are ignored, as :func:`_run` does.
+    """
+    v = a.ravel()
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(a).all())
+
+
 def mg_skip_step(
     state: MGSkipState,
     problem: ProblemInstance,
@@ -121,18 +137,29 @@ def mg_skip_step(
     cfg: RunConfig,
     theta: int,
 ) -> MGSkipState:
-    """One iteration with the coin fixed to ``theta``."""
+    """One iteration with the coin fixed to ``theta``.
+
+    Works in place on the new gradient and gossip output, which it owns:
+    ``x - alpha*g`` is computed as ``(-alpha)*g + x``, which IEEE
+    arithmetic makes the same number, so every array equals the module
+    docstring's expression bit for bit.  ``state`` is never written.
+    """
     alpha = cfg.alpha
-    z = state.x - alpha * problem.gradient_stack(state.x) - alpha * state.y
+    z = problem.gradient_stack(state.x)
+    z *= -alpha
+    z += state.x
+    z -= alpha * state.y
     if theta:
-        zbar = 0.5 * gossip.fast_goss(z)
-        y = state.y + (cfg.p / alpha) * zbar
-        x = problem.prox_stack(alpha, z - zbar)
+        zbar = gossip.fast_goss(z)
+        zbar *= 0.5
+        y = (cfg.p / alpha) * zbar
+        y += state.y
+        z -= zbar
     else:
         y = state.y
-        x = problem.prox_stack(alpha, z)
+    x = problem.prox_stack(alpha, z)
     # a skipped step keeps the Y that was checked when it was made
-    if not np.isfinite(x).all() or (theta and not np.isfinite(y).all()):
+    if not _finite(x) or (theta and not _finite(y)):
         raise DivergenceError("non-finite iterate")
     return MGSkipState(x=x, y=y)
 
@@ -216,23 +243,27 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
             state=state,
         )
 
-    for t, theta in enumerate(thetas):
-        try:
-            state = step(state, theta)
-        except DivergenceError as err:
-            raise DivergenceError(f"{err} at t={t}", result("divergence")) from None
-        comm += theta * rounds
-        # np.linalg.norm's Frobenius arithmetic, without its dispatch
-        d = (state.x - x_star_stack).ravel()
-        rel = math.sqrt(d.dot(d)) / norm_star
-        comms.append(comm)
-        rels.append(rel)
-        if psi:
-            psis.append(psi(state))
-        if tol > 0.0 and rel < tol:
-            return result("tol")
-        if comm_budget is not None and comm >= comm_budget:
-            return result("budget")
+    diff = np.empty(x_star_stack.shape)
+    flat = diff.reshape(-1)  # a view, in the row-major order ravel() gives
+    # a diverging run ends in a DivergenceError, not in numpy's warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, theta in enumerate(thetas):
+            try:
+                state = step(state, theta)
+            except DivergenceError as err:
+                raise DivergenceError(f"{err} at t={t}", result("divergence")) from None
+            comm += theta * rounds
+            # np.linalg.norm's Frobenius arithmetic, without its dispatch
+            np.subtract(state.x, x_star_stack, out=diff)
+            rel = math.sqrt(flat.dot(flat)) / norm_star
+            comms.append(comm)
+            rels.append(rel)
+            if psi:
+                psis.append(psi(state))
+            if tol > 0.0 and rel < tol:
+                return result("tol")
+            if comm_budget is not None and comm >= comm_budget:
+                return result("budget")
     return result("horizon")
 
 
@@ -440,7 +471,7 @@ def puda_nids(gossip: MultiGossipOperator) -> PUDAConfig:
     return PUDAConfig(gossip=gossip, c_is_h=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PUDAState:
     """Engine iterate, its predecessor, the last gradient, and prox input.
 
@@ -470,7 +501,7 @@ def puda_step(
     hz = cfg.h(z)
     w = state.hz_prev - state.x + hz if cfg.c_is_h else hz
     x_new = problem.prox_stack(alpha, w)
-    if not np.isfinite(x_new).all():
+    if not _finite(x_new):
         raise DivergenceError("non-finite iterate")
     return PUDAState(x=x_new, x_prev=state.x, grad_prev=g, hz_prev=w)
 

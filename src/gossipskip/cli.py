@@ -82,6 +82,14 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     graph = build_graph(spec)
     mixing = metropolis_weights(graph)
     problem = build_problem(spec, mixing)
+    # the checks step the first row's iteration, so its stepsize is a config value
+    first = spec.algorithms[0]
+    alpha = first.resolve_alpha(problem.L)
+    cfg = RunConfig(alpha=alpha, p=first.p, T=max(args.steps, 1), tol=0.0, seed=0)
+    try:
+        cfg.validate_for(problem)
+    except ValueError as err:
+        raise ValueError(f"{first.name}: {err}") from None
     reference = centralized_solve(problem, tol=1e-13)
 
     checks: list[tuple[str, str, bool]] = []
@@ -127,14 +135,11 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
         worst = max(worst, float(np.abs(gossip.fast_goss(z) - dense).max()))
     checks.append(("fast_goss == dense (I-Mbar)Z", f"max dev {worst:.1e}", worst <= 1e-10))
 
-    first = spec.algorithms[0]
-    alpha = first.resolve_alpha(problem.L)
     res = fixed_point_residual(reference, problem, gossip, alpha)
     checks.append(("fixed-point residual at x*", f"{res:.2e}", res <= 1e-8))
 
     ystar = dual_fixed_point(problem, reference)
     x_star_stack = np.tile(reference.xstar, (problem.n, 1))
-    cfg = RunConfig(alpha=alpha, p=first.p, T=max(args.steps, 1), tol=0.0, seed=0)
     start = MGSkipState(x=x_star_stack.copy(), y=ystar.copy())
     one = mg_skip_step(start, problem, gossip, cfg, theta=1)
     moved = max(

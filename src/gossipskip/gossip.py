@@ -244,8 +244,11 @@ class MultiGossipOperator:
             # W and Mbar act on the node axis: the other axes are one batch of columns
             return self.fast_goss(states.reshape(self.n, -1)).reshape(states.shape)
         if self.kernel == "folded":
-            return states - self.mbar @ states
-        return states - _chebyshev(self._apply_w, states, self.K, self.eta)
+            s_k = self.mbar @ states
+        else:
+            s_k = _chebyshev(self._apply_w, states, self.K, self.eta)
+        # s_k is the kernel's own new array: states - s_k overwrites it
+        return np.subtract(states, s_k, out=s_k)
 
 
 class _NeighbourTable:
@@ -301,19 +304,26 @@ def _gather(s: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
     """``s_K`` of ``s_{k+1} = (1 + eta) W s_k - eta s_{k-1}``, ``s_0 = s_{-1} = states``.
 
-    ``apply_w`` returns a new array, which is updated in place; this
-    performs the same floating-point operations as the recursion's
-    expression, and ``states`` is never written.  :meth:`fast_goss` runs
-    it on its states, and the dense kernel's :attr:`MultiGossipOperator.mbar`
-    on ``I``.
+    ``apply_w`` returns a new array, which is updated in place, and one
+    scratch array holds ``eta s_{k-1}``; this performs the same
+    floating-point operations as the recursion's expression, so ``s_K`` is
+    the same to the bit, and ``states`` is never written.
+    :meth:`~MultiGossipOperator.fast_goss` runs it on its states, and the
+    dense kernel's :attr:`MultiGossipOperator.mbar` on ``I``.
     """
+    if not eta:
+        # both updates would keep every finite value, but turn a -0.0 into +0.0
+        for _ in range(K):
+            states = apply_w(states)
+        return states
+    grow = 1.0 + eta
     prev = cur = states
+    scaled = None
     for _ in range(K):
         nxt = apply_w(cur)
-        # at eta = 0 both updates keep every finite value (a -0.0 would become +0.0)
-        if eta:
-            nxt *= 1.0 + eta
-            nxt -= eta * prev
+        nxt *= grow
+        scaled = np.multiply(prev, eta, out=scaled)
+        nxt -= scaled
         prev, cur = cur, nxt
     return cur
 

@@ -146,7 +146,12 @@ def l1_prox(alpha: float, weight: float, y: np.ndarray) -> np.ndarray:
     if weight < 0.0:
         raise ValueError(f"l1 weight must be nonnegative, got {weight}")
     y = np.asarray(y, dtype=float)
-    return np.sign(y) * np.maximum(np.abs(y) - alpha * weight, 0.0)
+    # the expression's operations, on one new array
+    out = np.abs(y, out=np.empty(y.shape))
+    out -= alpha * weight
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(y)
+    return out
 
 
 class _QuadraticStack:
@@ -159,39 +164,49 @@ class _QuadraticStack:
         self.mean_atb = self.atbs.mean(axis=0)
 
     def gradients(self, x_stack: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.grams, x_stack) - self.atbs
+        g = np.einsum("nij,nj->ni", self.grams, x_stack)
+        g -= self.atbs
+        return g
 
     def average(self, x: np.ndarray) -> np.ndarray:
         return self.mean_gram @ x - self.mean_atb
 
 
 class _LogisticStack:
-    """Every node's logistic gradient from zero-padded stacked samples.
+    """Every node's logistic gradient from zero-padded, label-signed samples.
 
-    Node ``i``'s ``m_i`` samples fill the first rows of its block and the
-    rest are zero features labelled +1.  A zero feature row adds exactly 0
-    to the gradient, so unequal partitions are exact.
+    ``signed[i, j]`` is node ``i``'s feature row ``j`` times its label
+    ``b_j``.  As ``b_j = +-1``, ``signed @ x`` is the margins ``(F @ x) * b``
+    and ``w @ signed`` is ``(w * b) @ F``, to the bit: a sign flip commutes
+    with every rounding.  Node ``i``'s ``m_i`` samples fill the first rows
+    of its block and the rest are zero.  A zero row adds exactly 0 to the
+    gradient, so unequal partitions are exact.
     """
 
     def __init__(self, losses: tuple) -> None:
         self.counts = np.array([[len(f.labels)] for f in losses])
         m_max = int(self.counts.max())
-        self.features = np.zeros((len(losses), m_max, losses[0].dim))
-        self.labels = np.ones((len(losses), m_max))
+        self.signed = np.zeros((len(losses), m_max, losses[0].dim))
         for i, f in enumerate(losses):
-            self.features[i, : len(f.labels)] = f.features
-            self.labels[i, : len(f.labels)] = f.labels
+            np.multiply(f.features, f.labels[:, None], out=self.signed[i, : len(f.labels)])
         self.two_gamma1 = np.array([[2.0 * f.gamma1] for f in losses])
 
     def gradients(self, x_stack: np.ndarray) -> np.ndarray:
-        margins = np.matmul(self.features, x_stack[:, :, None])[:, :, 0] * self.labels
-        # the same tanh form of sigmoid(-margin) as LogisticLoss.gradient
-        weights = 0.5 * (1.0 + np.tanh(-0.5 * margins)) * self.labels
-        sums = np.matmul(weights[:, None, :], self.features)[:, 0, :]
-        return -(sums / self.counts) + self.two_gamma1 * x_stack
+        sig = np.matmul(self.signed, x_stack[:, :, None])[:, :, 0]
+        # the same tanh form of sigmoid(-margin) as LogisticLoss.gradient, in place
+        sig *= -0.5
+        np.tanh(sig, out=sig)
+        sig += 1.0
+        sig *= 0.5
+        sums = np.matmul(sig[:, None, :], self.signed)[:, 0, :]
+        sums /= self.counts
+        # -(sums) + r is r - sums exactly
+        g = self.two_gamma1 * x_stack
+        g -= sums
+        return g
 
     def average(self, x: np.ndarray) -> np.ndarray:
-        x_stack = np.broadcast_to(x, (len(self.features), x.size))
+        x_stack = np.broadcast_to(x, (len(self.signed), x.size))
         return self.gradients(x_stack).mean(axis=0)
 
 
@@ -235,7 +250,10 @@ class ProblemInstance:
         return self.L / self.mu
 
     def gradient_stack(self, x_stack: np.ndarray) -> np.ndarray:
-        """Per-node gradients of the stacked iterate, shape ``(n, d)``."""
+        """Per-node gradients of the stacked iterate, shape ``(n, d)``.
+
+        Always a new array, which the caller owns and may overwrite.
+        """
         if self._stack is not None:
             return self._stack.gradients(x_stack)
         return np.stack(
@@ -305,18 +323,23 @@ def gen_least_squares(
     if d < 2 and mu != lsmooth:
         raise ValueError("d = 1 forces mu == lsmooth (single singular value)")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _LS_STREAM]))
-    losses = []
-    for _ in range(n):
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    # each node draws its normal matrix, mid eigenvalues and target in turn
+    normals = np.empty((n, d, d))
+    evals = np.empty((n, d))
+    b = np.empty((n, d))
+    for i in range(n):
+        normals[i] = rng.standard_normal((d, d))
         if d == 1:
-            evals = np.array([lsmooth])
+            evals[i] = lsmooth
         else:
             mids = np.exp(rng.uniform(np.log(mu), np.log(lsmooth), d - 2))
-            evals = np.concatenate(([lsmooth], np.sort(mids)[::-1], [mu]))
-        a = q * np.sqrt(evals)  # Q @ diag(s), so A^T A = diag(evals)
-        b = rng.standard_normal(d)
-        losses.append(QuadraticLoss(a=a, b=b, mu=mu, lsmooth=lsmooth))
-    return ProblemInstance(losses=tuple(losses), reg=reg or ZeroReg(), dim=d)
+            evals[i] = np.concatenate(([lsmooth], np.sort(mids)[::-1], [mu]))
+        b[i] = rng.standard_normal(d)
+    # one batched factorization; each Q_i is the one its own qr call gives
+    a = np.linalg.qr(normals)[0]
+    a *= np.sqrt(evals)[:, None, :]  # Q @ diag(s), so A^T A = diag(evals)
+    losses = tuple(QuadraticLoss(a=a[i], b=b[i], mu=mu, lsmooth=lsmooth) for i in range(n))
+    return ProblemInstance(losses=losses, reg=reg or ZeroReg(), dim=d)
 
 
 def gen_logistic(

@@ -114,6 +114,67 @@ class TestStep:
             RunConfig(alpha=0.1, p=1.0, T=0)
 
 
+def textbook_step(state, problem, gossip, cfg, theta):
+    """The module docstring's lines as plain expressions, each kernel's output
+    taken as it is and every regularizer's prox written out."""
+    alpha = cfg.alpha
+    z = state.x - alpha * problem.gradient_stack(state.x) - alpha * state.y
+    y = state.y
+    if theta:
+        zbar = 0.5 * gossip.fast_goss(z)
+        y = state.y + (cfg.p / alpha) * zbar
+        z = z - zbar
+    if isinstance(problem.reg, L1Reg):
+        x = np.sign(z) * np.maximum(np.abs(z) - alpha * problem.reg.weight, 0.0)
+    else:
+        x = z
+    return x, y
+
+
+class TestInPlaceStep:
+    """The step works in place and still equals the plain expressions bit for bit."""
+
+    @pytest.fixture(scope="class", params=["least_squares", "least_squares_l1", "logistic"])
+    def problem(self, request, bench):
+        if request.param == "least_squares":
+            return bench.problem
+        if request.param == "least_squares_l1":
+            return ProblemInstance(losses=bench.problem.losses, reg=L1Reg(weight=0.3), dim=10)
+        return gen_logistic(15, 10, 30, gamma1=0.1, gamma2=0.05, seed=4)
+
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_step_equals_textbook_expression(self, bench, problem, theta):
+        cfg = RunConfig(alpha=1.0 / (5.0 * problem.L), p=0.3, T=10)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((15, 10))
+        y = rng.standard_normal((15, 10))
+        y -= y.mean(axis=0, keepdims=True)
+        x0, y0 = x.copy(), y.copy()
+        state = MGSkipState(x=x, y=y)
+        for _ in range(3):
+            want_x, want_y = textbook_step(state, problem, bench.gossip, cfg, theta)
+            nxt = mg_skip_step(state, problem, bench.gossip, cfg, theta)
+            assert np.array_equal(nxt.x, want_x) and np.array_equal(nxt.y, want_y)
+            state = nxt
+        # a state's arrays are read, never written
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+    def test_finite_is_the_entrywise_test(self):
+        big = np.full((15, 10), 1e200)
+        # the sum of squares overflows to inf; a run ignores that overflow
+        with np.errstate(over="ignore"):
+            assert algorithms._finite(big)
+        assert algorithms._finite(np.zeros((3, 2)))
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.ones((15, 10))
+            a[7, 3] = bad
+            assert not algorithms._finite(a)
+        # a non-contiguous view is tested on its own entries
+        a = np.ones((4, 4))
+        a[1, 2] = np.nan
+        assert algorithms._finite(a[:, ::3]) and not algorithms._finite(a[:, 1:])
+
+
 class TestRun:
     @pytest.mark.parametrize("runner", ["mg_skip_run", "puda_run"])
     def test_trace_invariants(self, bench, runner):

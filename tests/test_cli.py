@@ -133,6 +133,20 @@ class TestVerify:
         assert captured.err == "error: --steps must be >= 0, got -1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("steps", ["0", "5", "40"])
+    def test_oversized_stepsize_exit_2(self, tmp_path, capsys, steps):
+        """The checks step the first row's iteration, so its stepsize is checked
+        before any of them runs, at every step count: one config error line,
+        exit 2 and nothing on stdout."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            RING15_CONFIG.read_text().replace("alg.0.alpha = one_over_5L", "alg.0.alpha = fixed:1")
+        )
+        assert main(["verify", "--config", str(config), "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: mg_skip_p1: alpha*L = 8.675 must be < 2\n"
+        assert captured.out == ""
+
     def test_reports_reference_certificate(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text(COMPLETE_GRAPH_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-7"))
@@ -287,9 +301,6 @@ class TestRun:
         assert capsys.readouterr().err == f"config error: {name}: alpha*L = 6 must be < 2\n"
         assert not (tmp_path / "o").exists()
 
-    # the diverging engine overflows on its way to a non-finite iterate
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_run_time_error_still_raises(self, tmp_path):
         # a config that is built but fails in its run is no config error: it raises.
         # The engine row's stepsize is not checked before its run; here it diverges

@@ -269,6 +269,23 @@ class TestMbar:
         got = _chebyshev(partial(np.matmul, ring15_mixing.w), states, 3, 0.0)
         assert np.array_equal(got, cur)
 
+    @pytest.mark.parametrize("kernel", ["dense", "neighbour"])
+    def test_in_place_rounds_match_plain_recursion(self, bench, large_gossip, kernel):
+        """At eta > 0 the in-place rounds, with their one scratch array, give the
+        plain recursion's bits, and fast_goss gives ``states - s_K``'s: ring-15
+        on the dense kernel, ring-800 on the neighbour gather."""
+        op = bench.gossip if kernel == "dense" else large_gossip["ring800"]
+        assert op.kernel == kernel and op.eta > 0.0
+        apply_w = op._apply_w
+        states = np.random.default_rng(9).standard_normal((op.n, 6))
+        before = states.copy()
+        prev = cur = states
+        for _ in range(op.K):
+            prev, cur = cur, (1.0 + op.eta) * apply_w(cur) - op.eta * prev
+        assert np.array_equal(_chebyshev(apply_w, states, op.K, op.eta), cur)
+        assert np.array_equal(op.fast_goss(states), states - cur)
+        assert np.array_equal(states, before)
+
     def test_k1_eta0_reduces_to_w(self, ring15_mixing):
         op = MultiGossipOperator(mixing=ring15_mixing, K=1, eta=0.0)
         assert np.array_equal(op.mbar, ring15_mixing.w)

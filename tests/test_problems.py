@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import gossipskip.problems as problems
 from gossipskip import (
     CentralizedSolveError,
     Graph,
@@ -78,6 +79,25 @@ class TestGenLeastSquares:
                 g = loss.gradient(x)
                 fd = fd_gradient(loss.value, x)
                 assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 22])
+    def test_stacked_build_matches_per_node_build(self, d):
+        """One batched QR over every node's draws gives each node the matrix, the
+        target and the Gram data its own QR and scaling give, bit for bit."""
+        n, seed = 7, 5
+        mu, lsmooth = (2.0, 2.0) if d == 1 else (0.5, 9.0)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, problems._LS_STREAM]))
+        for loss in gen_least_squares(n, d, mu, lsmooth, seed).losses:
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            if d == 1:
+                evals = np.array([lsmooth])
+            else:
+                mids = np.exp(rng.uniform(np.log(mu), np.log(lsmooth), d - 2))
+                evals = np.concatenate(([lsmooth], np.sort(mids)[::-1], [mu]))
+            a = q * np.sqrt(evals)
+            b = rng.standard_normal(d)
+            assert np.array_equal(loss.a, a) and np.array_equal(loss.b, b)
+            assert np.array_equal(loss._gram, a.T @ a) and np.array_equal(loss._atb, a.T @ b)
 
     def test_moduli_hold_on_sampled_pairs(self):
         p = gen_least_squares(3, 5, 0.8, 6.0, seed=4)
@@ -187,6 +207,14 @@ class TestL1Prox:
         for _ in range(50):
             y, z = rng.standard_normal((2, 6))
             assert np.linalg.norm(reg.prox(0.5, y) - reg.prox(0.5, z)) <= np.linalg.norm(y - z) + 1e-15
+
+    def test_in_place_thresholding_is_the_expression(self):
+        y = np.random.default_rng(6).standard_normal((15, 10))
+        y[0, :3] = [0.0, -0.0, 0.4]
+        before = y.copy()
+        want = np.sign(y) * np.maximum(np.abs(y) - 0.8 * 0.5, 0.0)
+        assert np.array_equal(l1_prox(0.8, 0.5, y), want)
+        assert np.array_equal(y, before)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -447,6 +475,41 @@ class TestProblemInstance:
                 xs = 3.0 * rng.standard_normal((p.n, p.dim))
                 loop = np.stack([f.gradient(xs[i]) for i, f in enumerate(p.losses)])
                 assert np.abs(p.gradient_stack(xs) - loop).max() <= 1e-14
+
+    def test_stacked_quadratic_gradient_is_the_expression(self):
+        p = gen_least_squares(5, 7, 1.0, 4.0, seed=12)
+        xs = np.random.default_rng(2).standard_normal((5, 7))
+        grams = np.stack([f._gram for f in p.losses])
+        atbs = np.stack([f._atb for f in p.losses])
+        assert np.array_equal(p.gradient_stack(xs), np.einsum("nij,nj->ni", grams, xs) - atbs)
+
+    def test_signed_logistic_gradient_is_the_unsigned_expression(self):
+        """Label-signed samples give the bits of the formula on the raw features
+        and labels, ``(F @ x) * b`` and ``(w * b) @ F``, padding included."""
+        rng = np.random.default_rng(5)
+        for p in self.logistic_instances():
+            counts = np.array([[len(f.labels)] for f in p.losses])
+            feats = np.zeros((p.n, counts.max(), p.dim))
+            labels = np.ones((p.n, counts.max()))
+            for i, f in enumerate(p.losses):
+                feats[i, : len(f.labels)] = f.features
+                labels[i, : len(f.labels)] = f.labels
+            two_gamma1 = np.array([[2.0 * f.gamma1] for f in p.losses])
+            for scale in (0.0, 1.0, 30.0):
+                xs = scale * rng.standard_normal((p.n, p.dim))
+                margins = np.matmul(feats, xs[:, :, None])[:, :, 0] * labels
+                weights = 0.5 * (1.0 + np.tanh(-0.5 * margins)) * labels
+                sums = np.matmul(weights[:, None, :], feats)[:, 0, :]
+                want = -(sums / counts) + two_gamma1 * xs
+                assert np.array_equal(p.gradient_stack(xs), want)
+
+    def test_gradient_stack_returns_a_new_array(self):
+        rng = np.random.default_rng(3)
+        for p in [gen_least_squares(5, 7, 1.0, 4.0, seed=12), *self.logistic_instances()]:
+            xs = rng.standard_normal((p.n, p.dim))
+            first = p.gradient_stack(xs)
+            first[...] = np.nan  # the caller owns it
+            assert np.isfinite(p.gradient_stack(xs)).all()
 
     def test_gradient_average_is_mean_of_node_gradients(self):
         rng = np.random.default_rng(1)
