@@ -44,6 +44,7 @@ from .problems import ProblemInstance, ReferenceSolution
 
 __all__ = [
     "RunConfig",
+    "check_stepsize",
     "MGSkipState",
     "RunResult",
     "DivergenceError",
@@ -85,11 +86,19 @@ class RunConfig:
         if self.T < 1:
             raise ValueError(f"horizon must be >= 1, got {self.T}")
 
-    def validate_for(self, problem: ProblemInstance) -> None:
-        if self.alpha * problem.L >= 2.0:
-            raise ValueError(
-                f"alpha*L = {self.alpha * problem.L:.4g} must be < 2"
-            )
+
+def check_stepsize(alpha: float, problem: ProblemInstance) -> None:
+    """Refuse ``alpha * L >= 2``: the skipping iteration's limit and NIDS's
+    (arXiv:1704.07807), set by the problem alone, not by the network, p or K."""
+    if alpha * problem.L >= 2.0:
+        raise ValueError(f"alpha*L = {alpha * problem.L:.4g} must be < 2")
+
+
+def _check_entry(problem: ProblemInstance, gossip: MultiGossipOperator, alpha: float) -> None:
+    """The entry check of :func:`mg_skip_run` and :func:`puda_run`: stepsize, then node count."""
+    check_stepsize(alpha, problem)
+    if gossip.n != problem.n:
+        raise ValueError(f"gossip operator and problem disagree on node count: {gossip.n} != {problem.n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,12 +290,10 @@ def mg_skip_run(
     iterations, or as soon as ``comm_rounds >= comm_budget`` when a
     budget is given.  With ``diagnostics`` the Lyapunov value is
     recorded each iteration.  Identical config and seed give a
-    bit-identical trace.
+    bit-identical trace.  Opens with :func:`puda_run`'s entry check.
     """
-    cfg.validate_for(problem)
+    _check_entry(problem, gossip, cfg.alpha)
     n, d = problem.n, problem.dim
-    if gossip.n != n:
-        raise ValueError("gossip operator and problem disagree on node count")
     xs = _as_xstar(xstar)
     x_star_stack = np.tile(xs, (n, 1))
     psi = None
@@ -520,6 +527,7 @@ def puda_run(
     ``z0 = -alpha * grad F(0)``.  Every iteration communicates, so every
     ``theta`` is 1; ``psi`` is NaN.
     """
+    _check_entry(problem, cfg.gossip, alpha)
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     zero = np.zeros((problem.n, problem.dim))

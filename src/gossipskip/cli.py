@@ -18,17 +18,17 @@ from .algorithms import (
     fixed_point_residual,
     mg_skip_step,
 )
-from .gossip import MultiGossipOperator, chebyshev_eta, default_K, verify_prop1
+from .gossip import MultiGossipOperator, verify_prop1
 from .harness import (
+    GRAPH_KINDS,
     ExperimentSpec,
     build_graph,
-    build_problem,
     parse_config,
     reference_certifies,
     run_experiment,
+    setup_experiment,
 )
-from .problems import centralized_solve
-from .topology import build_random_connectivity, build_ring, metropolis_weights
+from .topology import metropolis_weights
 
 __all__ = ["main"]
 
@@ -36,19 +36,16 @@ __all__ = ["main"]
 def _cmd_topology(args: argparse.Namespace) -> int:
     # argparse restricts --kind; the builders reject out-of-range --n and --iota
     try:
-        if args.kind == "ring":
-            graph = build_ring(args.n)
-        else:
-            graph = build_random_connectivity(args.n, args.iota, args.seed)
+        graph = build_graph(vars(args))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    mixing = metropolis_weights(graph)
+    gossip = MultiGossipOperator.from_mixing(metropolis_weights(graph))
     print(f"n = {graph.n}")
     print(f"edges = {graph.m}")
-    print(f"rho = {mixing.rho:.6f}")
-    print(f"K = {default_K(mixing.rho)}")
-    print(f"eta = {chebyshev_eta(mixing.rho):.6f}")
+    print(f"rho = {gossip.mixing.rho:.6f}")
+    print(f"K = {gossip.K}")
+    print(f"eta = {gossip.eta:.6f}")
     return 0
 
 
@@ -79,51 +76,15 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     if args.steps < 0:
         print(f"error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
         return 2
-    graph = build_graph(spec)
-    mixing = metropolis_weights(graph)
-    problem = build_problem(spec, mixing)
-    # the checks step the first row's iteration, so its stepsize is a config value
-    first = spec.algorithms[0]
-    alpha = first.resolve_alpha(problem.L)
+    # the setup checks every row's stepsize, as run does; the checks step the first row
+    mixing, problem, alphas, reference = setup_experiment(spec, {})
+    first, alpha = spec.algorithms[0], alphas[0]
     cfg = RunConfig(alpha=alpha, p=first.p, T=max(args.steps, 1), tol=0.0, seed=0)
-    try:
-        cfg.validate_for(problem)
-    except ValueError as err:
-        raise ValueError(f"{first.name}: {err}") from None
-    reference = centralized_solve(problem, tol=1e-13)
-
-    checks: list[tuple[str, str, bool]] = []
-
-    checks.append(
-        (
-            "reference x* certified",
-            f"error bound {reference.relative_error_bound:.1e} relative (run.tol {spec.tol:g})",
-            reference_certifies(reference, spec.tol),
-        )
-    )
+    gossip = MultiGossipOperator.from_mixing(mixing)
+    report = verify_prop1(gossip)
 
     sym = float(np.abs(mixing.w - mixing.w.T).max())
     row = float(np.abs(mixing.w.sum(axis=1) - 1.0).max())
-    checks.append(("mixing symmetric", f"max asym {sym:.1e}", sym == 0.0))
-    checks.append(("mixing doubly stochastic", f"row-sum dev {row:.1e}", row <= 1e-12))
-    checks.append(("spectral gap < 1", f"rho = {mixing.rho:.6f}", mixing.rho < 1.0))
-
-    gossip = MultiGossipOperator.from_mixing(mixing)
-    report = verify_prop1(gossip)
-    checks.append(
-        (
-            "multi-round radius envelope",
-            f"radius {report.radius:.4f} vs bound {report.radius_bound:.4f} (K={report.K})",
-            report.radius_bound_ok,
-        )
-    )
-    checks.append(
-        (
-            "sigma_min(I-Mbar) >= 2/5",
-            f"sigma_min {report.sigma_min:.4f}",
-            report.sigma_min_ok,
-        )
-    )
 
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -133,10 +94,8 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
         z = rng.standard_normal((gossip.n, problem.dim))
         dense = vecs @ (2.0 * h[:, None] * (vecs.T @ z))
         worst = max(worst, float(np.abs(gossip.fast_goss(z) - dense).max()))
-    checks.append(("fast_goss == dense (I-Mbar)Z", f"max dev {worst:.1e}", worst <= 1e-10))
 
     res = fixed_point_residual(reference, problem, gossip, alpha)
-    checks.append(("fixed-point residual at x*", f"{res:.2e}", res <= 1e-8))
 
     ystar = dual_fixed_point(problem, reference)
     x_star_stack = np.tile(reference.xstar, (problem.n, 1))
@@ -145,7 +104,20 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     moved = max(
         float(np.linalg.norm(one.x - start.x)), float(np.linalg.norm(one.y - start.y))
     )
-    checks.append(("fixed point is stationary", f"moved {moved:.2e}", moved <= 1e-10))
+
+    certified = f"error bound {reference.relative_error_bound:.1e} relative (run.tol {spec.tol:g})"
+    radius = f"radius {report.radius:.4f} vs bound {report.radius_bound:.4f} (K={report.K})"
+    checks = [
+        ("reference x* certified", certified, reference_certifies(reference, spec.tol)),
+        ("mixing symmetric", f"max asym {sym:.1e}", sym == 0.0),
+        ("mixing doubly stochastic", f"row-sum dev {row:.1e}", row <= 1e-12),
+        ("spectral gap < 1", f"rho = {mixing.rho:.6f}", mixing.rho < 1.0),
+        ("multi-round radius envelope", radius, report.radius_bound_ok),
+        ("sigma_min(I-Mbar) >= 2/5", f"sigma_min {report.sigma_min:.4f}", report.sigma_min_ok),
+        ("fast_goss == dense (I-Mbar)Z", f"max dev {worst:.1e}", worst <= 1e-10),
+        ("fixed-point residual at x*", f"{res:.2e}", res <= 1e-8),
+        ("fixed point is stationary", f"moved {moved:.2e}", moved <= 1e-10),
+    ]
 
     # over 0 steps there is no contraction to check, and no row for it
     if args.steps and first.kind == "mg_skip" and first.k_rule == "default":
@@ -158,21 +130,13 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
             contraction_ok &= rep.ok
             worst_gap = max(worst_gap, rep.lhs - rep.rhs)
             state = mg_skip_step(state, problem, gossip, cfg, int(coins[t] < cfg.p))
-        checks.append(
-            (
-                f"contraction over {args.steps} steps",
-                f"worst lhs-rhs {worst_gap:.2e}",
-                contraction_ok,
-            )
-        )
+        gap = f"worst lhs-rhs {worst_gap:.2e}"
+        checks.append((f"contraction over {args.steps} steps", gap, contraction_ok))
 
     width = max(len(name) for name, _, _ in checks)
-    failed = 0
+    failed = sum(not ok for _, _, ok in checks)
     for name, detail, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failed += 1
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -213,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--steps", type=int, default=100)
 
     p_topo = sub.add_parser("topology", help="print spectral facts for a topology")
-    p_topo.add_argument("--kind", required=True, choices=["ring", "random"])
+    p_topo.add_argument("--kind", required=True, choices=GRAPH_KINDS)
     p_topo.add_argument("--n", type=int, required=True)
     p_topo.add_argument("--iota", type=float, default=0.5)
     p_topo.add_argument("--seed", type=int, default=0)

@@ -30,8 +30,9 @@ speedup ratios against a declared baseline row, and a ``manifest.json``
 holding the config hash, versions, the gossip kernels, the reference's
 certified error bound, each run's stop reason and wall-clock timings,
 the ``Mbar`` builds' among them (timings never enter the data files, so
-reruns are byte-identical).  An experiment whose ``run.tol`` is not well
-above the reference's certified relative error is refused before any run.
+reruns are byte-identical).  Every command reading a config sets it up through
+:func:`setup_experiment`, which refuses a row's stepsize before the reference
+solve; a ``run.tol`` the reference cannot certify is refused before any run.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import RunConfig, RunResult, mg_skip_run, puda_nids, puda_run
-from .gossip import MultiGossipOperator, default_K
+from .algorithms import RunConfig, RunResult, check_stepsize, mg_skip_run, puda_nids, puda_run
+from .gossip import MultiGossipOperator
 from .problems import (
     L1Reg,
     ProblemInstance,
@@ -72,12 +73,16 @@ __all__ = [
     "build_graph",
     "build_problem",
     "build_gossip",
+    "setup_experiment",
     "run_experiment",
     "reference_certifies",
     "UncertifiedReferenceError",
     "TRACE_COLUMNS",
     "SUMMARY_COLUMNS",
+    "GRAPH_KINDS",
 ]
+
+GRAPH_KINDS = ("ring", "random")
 
 TRACE_COLUMNS = (
     "algorithm",
@@ -166,7 +171,7 @@ _POSITIVE = partial(_FLOAT, ok=lambda v: 0.0 < v < math.inf, bound="in (0, inf)"
 _KAPPA = partial(_FLOAT, ok=lambda v: 1.0 <= v < math.inf, bound="in [1, inf)")
 _WEIGHT = partial(_FLOAT, ok=lambda v: 0.0 <= v < math.inf, bound="in [0, inf)")
 _UNIT = partial(_FLOAT, ok=lambda v: 0.0 < v <= 1.0, bound="in (0, 1]")
-_GRAPH_KIND = partial(_choice, "graph kind", ("ring", "random"))
+_GRAPH_KIND = partial(_choice, "graph kind", GRAPH_KINDS)
 _PROBLEM_KIND = partial(_choice, "problem kind", ("least_squares", "logistic", "libsvm"))
 _ALG_KIND = partial(_choice, "algorithm kind", ("mg_skip", "skip1", _ENGINE_KIND))
 _KAPPA_RULE = partial(_choice, "kappa rule", ("half_over_gap",))
@@ -245,11 +250,6 @@ class AlgorithmSpec:
         if self.alpha_rule == "one_over_L":
             return 1.0 / lsmooth
         return float(self.alpha_rule.removeprefix("fixed:"))
-
-    def resolve_K(self, rho: float) -> int:
-        if self.k_rule == "default":
-            return default_K(rho)
-        return int(self.k_rule.removeprefix("fixed:"))
 
 
 @dataclass(frozen=True)
@@ -377,8 +377,8 @@ def reference_certifies(reference: ReferenceSolution, tol: float) -> bool:
     return tol <= 0.0 or reference.relative_error_bound <= _REFERENCE_MARGIN * tol
 
 
-def build_graph(spec: ExperimentSpec) -> Graph:
-    graph = spec.graph
+def build_graph(graph: dict) -> Graph:
+    """The graph of a ``graph`` section: ``kind``, ``n``, and a random one's ``iota`` and ``seed``."""
     if graph["kind"] == "ring":
         return build_ring(graph["n"])
     return build_random_connectivity(graph["n"], graph["iota"], graph["seed"])
@@ -405,10 +405,38 @@ def build_problem(spec: ExperimentSpec, mixing: MixingMatrix) -> ProblemInstance
 
 
 def build_gossip(alg: AlgorithmSpec, mixing: MixingMatrix) -> MultiGossipOperator:
-    """``mg_skip``'s Chebyshev rounds; one plain round, ``Mbar = W``, for the others."""
+    """``mg_skip``'s Chebyshev rounds (its row's ``K``); one plain round, ``Mbar = W``, for the others."""
     if alg.kind == "mg_skip":
-        return MultiGossipOperator.from_mixing(mixing, K=alg.resolve_K(mixing.rho))
+        K = None if alg.k_rule == "default" else int(alg.k_rule.removeprefix("fixed:"))
+        return MultiGossipOperator.from_mixing(mixing, K=K)
     return MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
+
+
+def setup_experiment(
+    spec: ExperimentSpec, phases: dict[str, float]
+) -> tuple[MixingMatrix, ProblemInstance, tuple[float, ...], ReferenceSolution]:
+    """The mixing matrix, problem, each row's stepsize and the reference ``x*``.
+
+    Built in that order from the graph.  The first row, of any kind, whose
+    stepsize :func:`check_stepsize` refuses is a ``ValueError`` naming it,
+    before the reference solve.  Adds each step's wall-clock seconds to
+    ``phases``: ``graph``, ``mixing``, ``problem`` and ``reference``.
+    """
+    with _timed(phases, "graph"):
+        graph = build_graph(spec.graph)
+    with _timed(phases, "mixing"):
+        mixing = metropolis_weights(graph)
+    with _timed(phases, "problem"):
+        problem = build_problem(spec, mixing)
+    alphas = tuple(alg.resolve_alpha(problem.L) for alg in spec.algorithms)
+    for alg, alpha in zip(spec.algorithms, alphas):
+        try:
+            check_stepsize(alpha, problem)
+        except ValueError as err:
+            raise ValueError(f"{alg.name}: {err}") from None
+    with _timed(phases, "reference"):
+        reference = centralized_solve(problem, tol=1e-13)
+    return mixing, problem, alphas, reference
 
 
 def write_trace_csv(path: Path, name: str, seed: int, result: RunResult) -> None:
@@ -452,32 +480,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     build; ``mbar_build_seconds`` gives the build's own seconds under the
     algorithm whose run built it.
 
-    Raises, before anything is written, :class:`UncertifiedReferenceError`
-    when the reference does not certify ``spec.tol`` (see
-    :func:`reference_certifies`), and a ``ValueError`` naming the first
-    skipping row whose stepsize :meth:`RunConfig.validate_for` rejects.
+    Raises, before anything is written, the stepsize ``ValueError`` of
+    :func:`setup_experiment`, then :class:`UncertifiedReferenceError` when
+    the reference does not certify ``spec.tol`` (see :func:`reference_certifies`).
     """
     started = time.time()
     phases: dict[str, float] = {}
-    with _timed(phases, "graph"):
-        graph = build_graph(spec)
-    with _timed(phases, "mixing"):
-        mixing = metropolis_weights(graph)
-    with _timed(phases, "problem"):
-        problem = build_problem(spec, mixing)
-    clock = time.perf_counter()
-    reference = centralized_solve(problem, tol=1e-13)
-    reference_seconds = time.perf_counter() - clock
+    mixing, problem, alphas, reference = setup_experiment(spec, phases)
+    reference_seconds = phases.pop("reference")
     if not reference_certifies(reference, spec.tol):
         raise UncertifiedReferenceError(
             f"run.tol = {spec.tol:g} needs x* certified to {_REFERENCE_MARGIN * spec.tol:.1e} "
             f"relative; its certified bound is {reference.relative_error_bound:.1e}"
         )
-    for alg in (alg for alg in spec.algorithms if alg.kind != _ENGINE_KIND):
-        try:
-            RunConfig(alg.resolve_alpha(problem.L), alg.p, spec.T).validate_for(problem)
-        except ValueError as err:
-            raise ValueError(f"{alg.name}: {err}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -487,10 +502,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str =
     # rows with the same K and eta share one operator, so its neighbour table
     # and Mbar are built once per experiment
     operators: dict[tuple[int, float], MultiGossipOperator] = {}
-    for alg in spec.algorithms:
+    for alg, alpha in zip(spec.algorithms, alphas):
         built = build_gossip(alg, mixing)
         gossip = operators.setdefault((built.K, built.eta), built)
-        alpha = alg.resolve_alpha(problem.L)
         kernels[alg.name] = gossip.kernel
         unbuilt = gossip.mbar_seconds is None
         result = None

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from gossipskip import algorithms
 from gossipskip import (
     MixingMatrix,
     MultiGossipOperator,
@@ -54,6 +55,16 @@ def bench(ring15_mixing: MixingMatrix) -> Bench:
         ystar=dual_fixed_point(problem, reference),
         alpha=1.0 / (5.0 * problem.L),
         kappa=kappa,
+    )
+
+
+@pytest.fixture
+def diverging_engine(monkeypatch) -> None:
+    """Every engine step starts from a NaN iterate, as a diverging run's becomes,
+    so a run of a stepsize the entry check accepts still ends in divergence."""
+    step = algorithms.puda_step
+    monkeypatch.setattr(
+        algorithms, "puda_step", lambda state, *args: step(replace(state, x=state.x * np.nan), *args)
     )
 
 

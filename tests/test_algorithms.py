@@ -48,6 +48,28 @@ def single_node_setup(target=3.0):
     return problem, gossip
 
 
+class TimeBomb:
+    """``f(x) = |x|^2 / 2`` on R^2 whose gradient turns non-finite after
+    ``fuse`` evaluations."""
+
+    dim = 2
+    mu = 1.0
+    lsmooth = 1.0
+
+    def __init__(self, fuse: int):
+        self.fuse = fuse
+        self.calls = 0
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        self.calls += 1
+        if self.calls > self.fuse:
+            return np.full(2, np.nan)
+        return x
+
+
 class TestStep:
     def test_single_node_centralized_step(self):
         problem, gossip = single_node_setup(3.0)
@@ -105,9 +127,8 @@ class TestStep:
             RunConfig(alpha=0.0, p=1.0, T=10)
         with pytest.raises(ValueError):
             RunConfig(alpha=0.1, p=0.0, T=10)
-        cfg = RunConfig(alpha=2.0 / bench.problem.L, p=1.0, T=10)
         with pytest.raises(ValueError, match="alpha"):
-            cfg.validate_for(bench.problem)
+            algorithms.check_stepsize(2.0 / bench.problem.L, bench.problem)
 
     def test_config_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
@@ -307,26 +328,7 @@ class TestRun:
         assert res.stopped == (reason == "tol")
 
     def test_divergence_carries_partial_trace(self):
-        class TimeBomb:
-            """Gradient turns non-finite after a few evaluations."""
-
-            dim = 2
-            mu = 1.0
-            lsmooth = 1.0
-
-            def __init__(self):
-                self.calls = 0
-
-            def value(self, x):
-                return 0.5 * float(x @ x)
-
-            def gradient(self, x):
-                self.calls += 1
-                if self.calls > 3:
-                    return np.full(2, np.nan)
-                return x
-
-        problem = ProblemInstance(losses=(TimeBomb(),), reg=ZeroReg(), dim=2)
+        problem = ProblemInstance(losses=(TimeBomb(3),), reg=ZeroReg(), dim=2)
         mixing = MixingMatrix.from_matrix(np.array([[1.0]]))
         gossip = MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
         cfg = RunConfig(alpha=0.5, p=1.0, T=50, tol=0.0, seed=0)
@@ -568,18 +570,40 @@ class TestPUDA:
         assert np.abs(a.rel_err - b.rel_err).max() > 1e-3
 
     def test_divergence_carries_partial_trace(self):
-        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
-        reference = centralized_solve(problem, tol=1e-13)
+        """Losses of curvature 9 that declare L = 1: alpha = 1 passes the entry
+        check and the iterates overflow.  The run ends in its DivergenceError,
+        with no numpy warning on the way."""
+        losses = tuple(
+            QuadraticLoss(a=3.0 * np.eye(3), b=np.full(3, i + 1.0), mu=1.0, lsmooth=1.0)
+            for i in range(6)
+        )
+        problem = ProblemInstance(losses=losses, reg=ZeroReg(), dim=3)
         cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DivergenceError
-        ) as err:
-            puda_run(problem, cfg, 50.0, 2000, reference)
+        with pytest.raises(DivergenceError) as err:
+            puda_run(problem, cfg, 1.0, 2000, np.ones(3))
         partial = err.value.result
         # the rows just before divergence may already have overflowed to inf
         assert partial is not None and partial.iterations > 0
         assert np.array_equal(partial.ts, np.arange(partial.iterations))
         assert (partial.thetas == 1).all()
+
+    def test_stepsize_at_two_over_L_rejected_before_any_step(self, bench, monkeypatch):
+        """The skipper's entry check: ``alpha * L < 2``, before any step."""
+
+        def no_step(*args):
+            pytest.fail("the engine stepped")
+
+        monkeypatch.setattr(algorithms, "puda_step", no_step)
+        with pytest.raises(ValueError, match=r"^alpha\*L = 2 must be < 2$"):
+            puda_run(
+                bench.problem, puda_nids(bench.gossip), 2.0 / bench.problem.L, 5, bench.reference
+            )
+
+    def test_node_count_mismatch_named(self, bench):
+        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
+        alpha = 1.0 / (5.0 * problem.L)
+        with pytest.raises(ValueError, match="disagree on node count: 15 != 6"):
+            puda_run(problem, puda_nids(bench.gossip), alpha, 5, np.zeros(3))
 
     @pytest.mark.parametrize("T", [0, -1])
     def test_horizon_below_one_rejected(self, bench, T):
@@ -613,13 +637,10 @@ class TestPUDA:
         assert np.abs(res.state.x - bench.problem.prox_stack(alpha, half @ z0)).max() <= 1e-14
 
     def test_divergence_at_first_iteration(self):
-        problem = gen_least_squares(6, 3, 1.0, 4.0, seed=0)
-        reference = centralized_solve(problem, tol=1e-13)
+        problem = ProblemInstance(losses=tuple(TimeBomb(0) for _ in range(6)), reg=ZeroReg(), dim=2)
         cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DivergenceError, match="t=0"
-        ) as err:
-            puda_run(problem, cfg, 1e308, 3, reference)
+        with pytest.raises(DivergenceError, match="t=0$") as err:
+            puda_run(problem, cfg, 0.5, 3, np.ones(2))
         partial = err.value.result
         assert partial.iterations == 0
         assert np.isfinite(partial.state.x).all()

@@ -42,7 +42,7 @@ def test_target_resolves(target):
 def _operators(name: str):
     """The gossip operators of workload ``name``'s algorithm rows, as the harness builds them."""
     spec = parse_config(WORKLOADS[name].config_text(0))
-    mixing = metropolis_weights(build_graph(spec))
+    mixing = metropolis_weights(build_graph(spec.graph))
     return [build_gossip(alg, mixing) for alg in spec.algorithms]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gossipskip
+from gossipskip import harness
 from gossipskip.cli import main
 
 RING15_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ring15.cfg"
@@ -42,6 +43,17 @@ TWO_KEY_LIMITS = [
     (("problem.kappa = 6.0", "problem.kappa_rule = half_over_gap"),
      "need 0 < mu <= lsmooth, got mu=1.0"),
 ]
+
+
+# COMPLETE_GRAPH_CONFIG's row, and an engine row in its place
+ENGINE_ROW = (
+    "alg.0.kind = mg_skip\nalg.0.alpha = one_over_5L\nalg.0.p = 0.5",
+    "alg.0.kind = puda_nids\nalg.0.alpha = one_over_5L",
+)
+
+
+def _no_reference(*args, **kwargs):
+    pytest.fail("the reference was solved for a config with a refused row")
 
 
 def test_module_help_exit_0():
@@ -145,6 +157,19 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--steps", steps]) == 2
         captured = capsys.readouterr()
         assert captured.err == "config error: mg_skip_p1: alpha*L = 8.675 must be < 2\n"
+        assert captured.out == ""
+
+    def test_later_row_stepsize_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Every row is checked, not only the first one the checks step, and
+        before the reference solve."""
+        monkeypatch.setattr(harness, "centralized_solve", _no_reference)
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            RING15_CONFIG.read_text().replace("alg.2.alpha = one_over_5L", "alg.2.alpha = fixed:1")
+        )
+        assert main(["verify", "--config", str(config), "--steps", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: skip1_p1: alpha*L = 8.675 must be < 2\n"
         assert captured.out == ""
 
     def test_reports_reference_certificate(self, tmp_path, capsys):
@@ -301,16 +326,29 @@ class TestRun:
         assert capsys.readouterr().err == f"config error: {name}: alpha*L = 6 must be < 2\n"
         assert not (tmp_path / "o").exists()
 
-    def test_run_time_error_still_raises(self, tmp_path):
-        # a config that is built but fails in its run is no config error: it raises.
-        # The engine row's stepsize is not checked before its run; here it diverges
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--p", "1,0.5"], ["verify"]])
+    def test_engine_row_stepsize_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        """An engine row's stepsize is checked as a skipping row's is: alpha * L
+        >= 2 (L = 6 here) is one config error line and exit 2, before the
+        reference solve and before any output exists."""
+        monkeypatch.setattr(harness, "centralized_solve", _no_reference)
         config = tmp_path / "exp.cfg"
         config.write_text(
-            COMPLETE_GRAPH_CONFIG.replace(
-                "alg.0.kind = mg_skip\nalg.0.alpha = one_over_5L\nalg.0.p = 0.5",
-                "alg.0.kind = puda_nids\nalg.0.alpha = fixed:10",
+            COMPLETE_GRAPH_CONFIG.replace(*ENGINE_ROW).replace(
+                "alg.0.alpha = one_over_5L", "alg.0.alpha = fixed:10"
             )
         )
+        out = [] if command[0] == "verify" else ["--out", str(tmp_path / "o")]
+        assert main([command[0], "--config", str(config), *out, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: puda_nids: alpha*L = 60 must be < 2\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_run_time_error_still_raises(self, tmp_path, diverging_engine):
+        # a config that is built but fails in its run is no config error: it raises
+        config = tmp_path / "exp.cfg"
+        config.write_text(COMPLETE_GRAPH_CONFIG.replace(*ENGINE_ROW))
         with pytest.raises(RuntimeError, match="run puda_nids/seed0 failed: non-finite iterate"):
             main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
 

@@ -207,7 +207,7 @@ class TestParseConfig:
             parse_config(block),
             parse_config(shipped.read_text(), base_dir=shipped.parent),
         ):
-            assert build_graph(spec).n == 15
+            assert build_graph(spec.graph).n == 15
             assert build_problem(spec, ring15_mixing).kappa == pytest.approx(
                 0.5 / (1.0 - ring15_mixing.rho)
             )
@@ -216,7 +216,7 @@ class TestParseConfig:
             for seed in (0, 1):
                 spec = parse_config(workload.config_text(seed))
                 assert spec.seeds == workload.seeds(seed)
-                build_problem(spec, metropolis_weights(build_graph(spec)))
+                build_problem(spec, metropolis_weights(build_graph(spec.graph)))
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -408,7 +408,7 @@ class TestReferenceCertificate:
     def test_shipped_config_reference_certified(self, path):
         """A shipped config never runs against an x* certified above 1e-3 * run.tol."""
         spec = parse_config(path.read_text(), base_dir=path.parent)
-        problem = build_problem(spec, metropolis_weights(build_graph(spec)))
+        problem = build_problem(spec, metropolis_weights(build_graph(spec.graph)))
         reference = centralized_solve(problem, tol=1e-13)
         assert spec.tol > 0.0
         assert reference.relative_error_bound <= 1e-3 * spec.tol
@@ -418,7 +418,7 @@ class TestReferenceCertificate:
         for workload in _bench_workloads().values():
             for seed in (0, 1):
                 spec = parse_config(workload.config_text(seed))
-                problem = build_problem(spec, metropolis_weights(build_graph(spec)))
+                problem = build_problem(spec, metropolis_weights(build_graph(spec.graph)))
                 reference = centralized_solve(problem, tol=1e-13)
                 assert harness.reference_certifies(reference, spec.tol), workload.name
 
@@ -460,9 +460,9 @@ class TestAlgorithmSpec:
         c = AlgorithmSpec(kind="mg_skip", alpha_rule="fixed:0.03")
         assert c.resolve_alpha(2.0) == pytest.approx(0.03)
 
-    def test_k_rules(self):
-        assert AlgorithmSpec(kind="mg_skip").resolve_K(0.9424) == 4
-        assert AlgorithmSpec(kind="mg_skip", k_rule="fixed:2").resolve_K(0.9424) == 2
+    def test_k_rules(self, ring15_mixing):
+        assert build_gossip(AlgorithmSpec(kind="mg_skip"), ring15_mixing).K == 4
+        assert build_gossip(AlgorithmSpec(kind="mg_skip", k_rule="fixed:2"), ring15_mixing).K == 2
 
     @pytest.mark.parametrize(
         "field, rule",
@@ -774,12 +774,10 @@ alg.0.p = 0.5
         summary = run_experiment(spec, tmp_path, config_text=text)
         assert summary["per_run"][0]["algorithm"] == "mg_skip_p0.5"
 
-    def test_run_errors_carry_run_identity(self, tmp_path):
-        # the engine's stepsize is not checked before its run: here it overflows
-        # at once, and the run ends in its DivergenceError with no numpy warning
+    def test_run_errors_carry_run_identity(self, tmp_path, diverging_engine):
         text = BASE_CONFIG.replace(
             "alg.1.kind = mg_skip\nalg.1.alpha = one_over_5L\nalg.1.p = 0.5",
-            "alg.1.kind = puda_nids\nalg.1.alpha = fixed:1e200",
+            "alg.1.kind = puda_nids\nalg.1.alpha = one_over_5L",
         )
         spec = parse_config(text)
         with pytest.raises(RuntimeError, match="puda_nids/seed0 failed: non-finite iterate"):
@@ -833,7 +831,7 @@ class TestBuilders:
             "graph.kind = random\ngraph.n = 12\ngraph.iota = 0.4\ngraph.seed = 1\n"
             "alg.0.kind = mg_skip\nrun.seeds = 0"
         )
-        g = build_graph(spec)
+        g = build_graph(spec.graph)
         assert g.n == 12 and g.m == int(0.4 * 12 * 11 / 2)
 
     def test_build_problem_kappa_rule(self, ring15_mixing):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import gossipskip
 from gossipskip import gossip
+from gossipskip.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_library_example_prints_pinned_counts(capsys):
@@ -18,6 +20,19 @@ def test_library_example_prints_pinned_counts(capsys):
     iterations, comm, rel_err = capsys.readouterr().out.split()
     assert (iterations, comm) == ("637", "928")
     assert float(rel_err) < 1e-7
+
+
+def test_sweep_block_is_the_sweep_stdout(tmp_path, capsys):
+    """The README's sweep output block is what its ``gossipskip sweep`` command
+    prints, line for line, once the ``#`` annotations are dropped."""
+    cli = README.split("## CLI", 1)[1]
+    grid = re.search(r"gossipskip sweep --config configs/ring15\.cfg --out \S+ --p (\S+)", cli)
+    block = cli.split("The `sweep` over the ring-15 benchmark", 1)[1]
+    block = re.search(r"```\n(.*?)```", block, re.S).group(1)
+    config = str(ROOT / "configs" / "ring15.cfg")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path), "--p", grid.group(1)]) == 0
+    expected = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_cited_names_exist():
