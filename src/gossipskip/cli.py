@@ -22,6 +22,7 @@ from .gossip import MultiGossipOperator, verify_prop1
 from .harness import (
     GRAPH_KINDS,
     ExperimentSpec,
+    build_gossip,
     build_graph,
     parse_config,
     reference_certifies,
@@ -80,8 +81,9 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
     mixing, problem, alphas, reference = setup_experiment(spec, {})
     first, alpha = spec.algorithms[0], alphas[0]
     cfg = RunConfig(alpha=alpha, p=first.p, T=max(args.steps, 1), tol=0.0, seed=0)
-    gossip = MultiGossipOperator.from_mixing(mixing)
-    report = verify_prop1(gossip)
+    # Proposition 1 is stated at the default K; the rows after it gossip as the first row does
+    report = verify_prop1(MultiGossipOperator.from_mixing(mixing))
+    gossip = build_gossip(first, mixing)
 
     sym = float(np.abs(mixing.w - mixing.w.T).max())
     row = float(np.abs(mixing.w.sum(axis=1) - 1.0).max())
@@ -148,14 +150,17 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str)
         if not p_values:
             raise ValueError("empty p grid")
         # an empty name relabels each variant; AlgorithmSpec checks p is in (0, 1]
-        variants = [replace(alg, p=p, name="") for alg in spec.algorithms for p in p_values]
+        variants = [(alg, replace(alg, p=p, name="")) for alg in spec.algorithms for p in p_values]
+        # a label holds p, but for the engine, which reads none: variants sharing a
+        # label collapse when every other setting agrees, and are refused otherwise
+        expanded: dict = {}  # label -> (config row, its variant)
+        for row, variant in variants:
+            first, kept = expanded.setdefault(variant.name, (row, variant))
+            if replace(kept, p=variant.p) != variant:
+                raise ValueError(f"rows {first.name!r} and {row.name!r} differ but share {variant.name!r}")
     except ValueError as err:
         raise ValueError(f"--p {args.p!r}: {err}") from None
-    # rows whose label ignores p collapse to their first variant
-    expanded: dict = {}
-    for variant in variants:
-        expanded.setdefault(variant.name, variant)
-    sweep_spec = replace(spec, algorithms=tuple(expanded.values()), baseline="")
+    sweep_spec = replace(spec, algorithms=tuple(v for _, v in expanded.values()), baseline="")
     summary = run_experiment(sweep_spec, args.out, config_text=config_text)
     _print_means(summary, final_err=False)
     return 0

@@ -7,15 +7,14 @@ operator ``Mbar = M_K`` obeys the recursion
     M_{k+1} = (1 + eta) W M_k - eta M_{k-1},   M_0 = M_{-1} = I,
 
 and the distributed procedure :meth:`MultiGossipOperator.fast_goss`
-evaluates ``(I - Mbar) @ states`` using only per-node neighbor
-exchanges, ``K`` rounds per invocation.  Each round applies ``W`` either
-as a dense product or, on large sparse graphs, by gathering every node's
-neighbor rows from a padded table; on mid-size sparse graphs whose ``K``
-rounds cost more than one dense product, the cached ``Mbar`` is applied
-instead, folding the ``K`` rounds into one (see
-:attr:`MultiGossipOperator.kernel`).  ``Mbar`` itself is the recursion
-run on ``I``: for ``K`` dense rounds on the dense kernel, and on the
-others for ``ceil(K/2)`` gathered rounds and two dense products (see
+evaluates ``(I - Mbar) @ states`` in one of two ways (see
+:attr:`MultiGossipOperator.kernel`): as one product with the cached
+``Mbar``, folding the ``K`` rounds into one, wherever a dense ``n x n``
+matrix is cheap, or as ``K`` rounds of per-node neighbour exchanges, each
+gathering every node's neighbour rows from a padded table, on large
+sparse graphs.  ``Mbar`` itself is the recursion run on ``I``: below the
+gather crossover as ``K`` dense products with ``W``, and above it as
+``ceil(K/2)`` gathered rounds and two dense products (see
 :func:`_half_round_build`), each block of columns of ``I`` gathering
 only the rows it has reached, which are all that are nonzero.
 
@@ -57,20 +56,23 @@ __all__ = [
 # diagnostic must give that mode no weight at all.
 _NULL_TOL = 1e-9
 
-# The neighbor gather applies W when n >= 20 * width + 100, width being the
-# widest row's nonzero count: per row, a gather round costs about what a dense
-# row of 20 entries per slot plus 100 costs.  Rings switch at n = 160, and no
-# graph below n = 120 ever does.  Measured per W @ S at d = 10, one BLAS
-# thread, 2-core x86-64 VM, dense vs gather: ring-90 9 vs 12 us, ring-120
-# 12-13 vs 13-14 us, ring-200 29 vs 16-17 us; random graphs n = 200 (width 9)
-# 31 vs 32-34 us, n = 250 (width 10) 35-41 vs 43-46 us, n = 350 (width 11)
-# 184-192 vs 57-67 us, n = 800 (width 14) 1063-1133 vs 203-228 us.  Dense cost
-# jumps between n = 300 and 350 (a cache effect), so no single n / width
-# ratio fits both rings and random graphs.
+# Below n = 20 * width + 100, width being the widest row's nonzero count,
+# fast_goss always folds and Mbar is built by K dense products; from there
+# the neighbour gather applies W unless the fold rule below holds.  Per row,
+# a gather round costs about what a dense row of 20 entries per slot plus
+# 100 costs.  Rings cross at n = 160, and no graph below n = 120 ever does.
+# Measured per W @ S at d = 10, one BLAS thread, 2-core x86-64 VM, dense vs
+# gather: ring-90 9 vs 12 us, ring-120 12-13 vs 13-14 us, ring-200 29 vs
+# 16-17 us; random graphs n = 200 (width 9) 31 vs 32-34 us, n = 250 (width
+# 10) 35-41 vs 43-46 us, n = 350 (width 11) 184-192 vs 57-67 us, n = 800
+# (width 14) 1063-1133 vs 203-228 us.  Dense cost jumps between n = 300 and
+# 350 (a cache effect), so no single n / width ratio fits both rings and
+# random graphs.  Below the crossover one product with Mbar costs no more
+# than one W @ S, so folding beats K dense rounds at every K.
 _GATHER_COST_PER_SLOT = 20
 _GATHER_COST_PER_ROW = 100
 
-# Where the gather is picked, the folded kernel applies the cached Mbar in one
+# From the crossover up, the folded kernel applies the cached Mbar in one
 # dense product when n <= 512 and 2 * n < K * (20 * width + 100): per row, the
 # product costs about 2 dense-row entries per node against K gathered rounds.
 # Fitted per call at d = 10, one BLAS thread, 2-core x86-64 VM, from the K at
@@ -79,10 +81,12 @@ _GATHER_COST_PER_ROW = 100
 # ring-512 9.8; random n = 350 (width 11) 2.0, n = 400 (width 13) 2.3, n = 512
 # (width 11) 4.0.  Those put the factor between 1.1 and 3.3 (the dense cache
 # jump again); 2 keeps every misjudged call within 2x of the faster kernel.
-# The cap keeps Mbar at 2 MiB, and its build (0.03 s at ring-400, 0.17 s at
-# ring-800) within a few dozen calls' saving.  Both constants were fitted
-# before the build gathered only reached rows; refitting them to the cheaper
-# build would move kernels, and so outputs, above n = 512.
+# The cap applies only from the crossover up, where W is sparse: it keeps
+# Mbar at 2 MiB, and its build (0.03 s at ring-400, 0.17 s at ring-800)
+# within a few dozen calls' saving.  Below the crossover a dense W already
+# holds n^2 doubles.  Both constants were fitted before the build gathered
+# only reached rows; refitting them to the cheaper build would move kernels,
+# and so outputs, above n = 512.
 _FOLD_COST_PER_NODE = 2
 _FOLD_MAX_NODES = 512
 
@@ -115,8 +119,8 @@ def default_K(rho: float) -> int:
 class MultiGossipOperator:
     """The multi-round operator, distributed and dense views.
 
-    Immutable after construction; the kernel applying ``W``, the dense
-    ``Mbar`` and the eigenpairs of ``(I - Mbar)/2`` are built on first use
+    Immutable after construction; the neighbour table applying ``W``, the
+    dense ``Mbar`` and the eigenpairs of ``(I - Mbar)/2`` are built on first use
     and cached.  ``fast_goss`` is pure and safe to call concurrently.
     Choosing the kernel builds nothing: the folded kernel's ``Mbar`` is
     built by its first ``fast_goss``.
@@ -143,47 +147,51 @@ class MultiGossipOperator:
         return self.mixing.n
 
     @cached_property
+    def _gather_row(self) -> int:
+        """The gather crossover ``20 * width + 100``, ``width`` the largest
+        number of nonzeros in a row of ``W``: a gathered round costs about
+        what this many dense entries per row do."""
+        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
+        return _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
+
+    @cached_property
     def kernel(self) -> str:
-        """How ``fast_goss`` applies ``Mbar``: ``"dense"``, ``"neighbour"`` or ``"folded"``.
+        """How ``fast_goss`` applies ``Mbar``: ``"folded"`` or ``"neighbour"``.
 
         Chosen once per operator from the sparsity of ``W`` and ``K``, with
         ``width`` the largest number of nonzeros in a row of ``W``:
 
-        - ``"dense"``: ``K`` rounds of ``W @ S``, when ``n < 20 * width + 100``;
-        - ``"folded"``: one product with the cached ``Mbar``, when also
-          ``n <= 512`` and ``2 * n < K * (20 * width + 100)``;
+        - ``"folded"``: one product with the cached ``Mbar``, at every ``K``
+          when ``n < 20 * width + 100``, and otherwise when ``n <= 512`` and
+          ``2 * n < K * (20 * width + 100)``;
         - ``"neighbour"``: ``K`` rounds of the neighbour gather otherwise.
         """
-        width = int(np.count_nonzero(self.mixing.w, axis=1).max())
-        gather_row = _GATHER_COST_PER_SLOT * width + _GATHER_COST_PER_ROW
-        if self.n < gather_row:
-            return "dense"
-        if self.n <= _FOLD_MAX_NODES and _FOLD_COST_PER_NODE * self.n < self.K * gather_row:
-            return "folded"
-        return "neighbour"
+        row = self._gather_row
+        pays = self.n <= _FOLD_MAX_NODES and _FOLD_COST_PER_NODE * self.n < self.K * row
+        return "folded" if self.n < row or pays else "neighbour"
 
     @cached_property
-    def _apply_w(self):
-        """The callable applying ``W`` in :meth:`fast_goss` and the dense kernel's
-        :attr:`mbar`: ``W @ s`` on the dense kernel, else the neighbour gather."""
-        w = self.mixing.w
-        return partial(np.matmul, w) if self.kernel == "dense" else _NeighbourTable(w)
+    def _apply_w(self) -> _NeighbourTable:
+        """The neighbour gather applying ``W`` in the ``"neighbour"`` kernel's :meth:`fast_goss`."""
+        return _NeighbourTable(self.mixing.w)
 
     @cached_property
     def mbar(self) -> np.ndarray:
         """Dense ``M_K``, the matrix :meth:`fast_goss` applies.  Read-only.
 
-        The dense kernel runs the ``K`` rounds of the recursion on ``I``
-        itself.  The others build it by :func:`_half_round_build` from a
+        Below the gather crossover (``n < 20 * width + 100``) the build runs
+        the ``K`` rounds of the recursion on ``I`` with dense products, so at
+        ``K = 1``, ``eta = 0`` it is ``W @ I``, which is ``W`` exactly.  From
+        the crossover up it is built by :func:`_half_round_build` from a
         neighbour table of its own, which it frees, so the operator then
         holds ``Mbar`` and nothing else the build made; it agrees with the
-        ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400).
-        At ``K = 1``, ``eta = 0`` either build is ``W`` exactly.  Its
-        wall-clock seconds are :attr:`mbar_seconds`.
+        ``K`` rounds to rounding (under ``2e-15`` per entry at ring-400), and
+        at ``K = 1``, ``eta = 0`` it too is ``W`` exactly.  Its wall-clock
+        seconds are :attr:`mbar_seconds`.
         """
         clock = time.perf_counter()
-        if self.kernel == "dense":
-            m = _chebyshev(self._apply_w, np.eye(self.n), self.K, self.eta)
+        if self.n < self._gather_row:
+            m = _chebyshev(partial(np.matmul, self.mixing.w), np.eye(self.n), self.K, self.eta)
         else:
             # a table of the build's own, so a folded operator never holds one
             m = _half_round_build(_NeighbourTable(self.mixing.w), self.K, self.eta)
@@ -231,9 +239,10 @@ class MultiGossipOperator:
         the Chebyshev recursion from ``s_0 = s_{-1} = states``.  The
         folded kernel computes the same ``K`` rounds as one product with
         ``Mbar``, which agrees with the recursion to rounding (``1.5e-14``
-        at ring-400 on unit normal states).  ``states`` has ``n`` rows and
-        any trailing shape; every kernel treats the trailing axes as one
-        batch of columns.
+        at ring-400 on unit normal states) and, where ``Mbar = W`` exactly
+        (``K = 1``, ``eta = 0``), is ``states - W @ states`` to the bit.
+        ``states`` has ``n`` rows and any trailing shape; both kernels
+        treat the trailing axes as one batch of columns.
         """
         states = np.asarray(states, dtype=float)
         if states.shape[0] != self.n:
@@ -308,8 +317,9 @@ def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
     scratch array holds ``eta s_{k-1}``; this performs the same
     floating-point operations as the recursion's expression, so ``s_K`` is
     the same to the bit, and ``states`` is never written.
-    :meth:`~MultiGossipOperator.fast_goss` runs it on its states, and the
-    dense kernel's :attr:`MultiGossipOperator.mbar` on ``I``.
+    The neighbour kernel's :meth:`~MultiGossipOperator.fast_goss` runs it
+    on its states through the gather, and :attr:`MultiGossipOperator.mbar`,
+    below the gather crossover, on ``I`` through dense products with ``W``.
     """
     if not eta:
         # both updates would keep every finite value, but turn a -0.0 into +0.0

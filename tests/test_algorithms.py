@@ -428,13 +428,20 @@ class TestLyapunov:
             assert psi == pytest.approx(oracle, rel=1e-8), problem.n
 
     def test_diagnostics_build_no_dense_mbar(self, bench):
+        """The diagnostics read the eigenpairs of W, never a dense Mbar: a run's
+        own folded gossip builds Mbar on ring-15, so they are called on an
+        operator that has not gossiped."""
         gossip = MultiGossipOperator.from_mixing(bench.mixing)
         cfg = RunConfig(alpha=bench.alpha, p=0.5, T=20, tol=0.0, seed=3)
         res = mg_skip_run(bench.problem, gossip, cfg, bench.reference, diagnostics=True)
         assert np.isfinite(res.psi).all()
-        fixed_point_residual(bench.reference, bench.problem, gossip, bench.alpha)
-        assert "half_gap_eigh" in gossip.__dict__
-        assert "mbar" not in gossip.__dict__
+        fresh = MultiGossipOperator.from_mixing(bench.mixing)
+        x_star_stack = np.tile(bench.reference.xstar, (15, 1))
+        state = MGSkipState(x=x_star_stack + 1.0, y=bench.ystar.copy())
+        assert lyapunov(state, x_star_stack, bench.ystar, fresh, cfg) > 0.0
+        fixed_point_residual(bench.reference, bench.problem, fresh, bench.alpha)
+        assert "half_gap_eigh" in fresh.__dict__
+        assert "mbar" not in fresh.__dict__
 
     def test_out_of_range_dual_raises(self, bench):
         x_star_stack = np.tile(bench.reference.xstar, (15, 1))

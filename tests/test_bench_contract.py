@@ -47,12 +47,13 @@ def _operators(name: str):
 
 
 @pytest.mark.parametrize("name, Ks", [("ring15-sweep", [4, 4, 1]), ("logistic-random", [3, 3, 1])])
-def test_small_workloads_run_the_dense_kernel(name, Ks):
-    """ring15-sweep and logistic-random gossip by K dense rounds of W @ S;
-    neither builds Mbar."""
+def test_small_workloads_fold(name, Ks):
+    """ring15-sweep and logistic-random lie below the gather crossover, so
+    every row, the one-round rows too, folds its K rounds into one product
+    with Mbar."""
     operators = _operators(name)
     assert [op.K for op in operators] == Ks
-    assert [op.kernel for op in operators] == ["dense"] * len(Ks)
+    assert [op.kernel for op in operators] == ["folded"] * len(Ks)
 
 
 def test_ring400_gossip_folds_with_the_reach_build():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gossipskip
+import gossipskip.cli as cli
 from gossipskip import harness
 from gossipskip.cli import main
 
@@ -171,6 +172,33 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == "config error: skip1_p1: alpha*L = 8.675 must be < 2\n"
         assert captured.out == ""
+
+    def test_first_row_steps_with_its_own_operator(self, tmp_path, capsys, monkeypatch):
+        """The stationarity step gossips as the first row does: a skip1 first
+        row steps with one plain round (K = 1, Mbar = W), while the radius row
+        reports Proposition 1 at the default K = 4."""
+        operators = []
+        step = cli.mg_skip_step
+
+        def recorded(state, problem, gossip, cfg, theta):
+            operators.append(gossip)
+            return step(state, problem, gossip, cfg, theta)
+
+        monkeypatch.setattr(cli, "mg_skip_step", recorded)
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            RING15_CONFIG.read_text()
+            .replace("alg.0.kind = mg_skip", "alg.0.kind = skip1")
+            .replace("alg.2.p = 1.0", "alg.2.p = 0.5")
+            .replace("summary.baseline = mg_skip_p1", "summary.baseline = skip1_p1")
+        )
+        main(["verify", "--config", str(config), "--steps", "20"])
+        out = capsys.readouterr().out
+        # skip1 has no contraction row, so the one step is the stationarity check
+        assert [(op.K, op.eta) for op in operators] == [(1, 0.0)]
+        assert "(K=4)" in next(line for line in out.splitlines() if "radius envelope" in line)
+        assert "fixed point is stationary     PASS" in out
+        assert "fast_goss == dense (I-Mbar)Z  PASS" in out
 
     def test_reports_reference_certificate(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
@@ -403,6 +431,27 @@ class TestSweep:
             "puda_nids",
         ]
         assert [f.name for f in out_dir.glob("puda_nids*.csv")] == ["puda_nids__seed0.csv"]
+
+    @pytest.mark.parametrize(
+        "row, name", [("alg.1.alpha = one_over_L", "fast"), ("alg.1.K = fixed:2", "tworound")]
+    )
+    def test_sweep_refuses_rows_sharing_a_label(self, tmp_path, capsys, row, name):
+        """Rows that differ only in alpha or K would give each p one label:
+        rather than keep the first and drop the other, the sweep prints one
+        config error naming both rows, exits 2 and writes nothing."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG + f"alg.1.kind = mg_skip\n{row}\nalg.1.name = {name}\n"
+        )
+        out_dir = tmp_path / "o"
+        code = main(["sweep", "--config", str(config), "--out", str(out_dir), "--p", "1,0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: --p '1,0.5': rows 'mg_skip_p0.5' and '{name}' differ but share "
+            "'mg_skip_p1'\n"
+        )
+        assert captured.out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("grid", ["abc", "0", "1.5"])
     def test_bad_p_exit_2(self, tmp_path, capsys, grid):

@@ -89,17 +89,18 @@ class TestMbar:
         ],
     )
     def test_half_round_build_matches_dense_recursion(self, kind, n, K):
-        """A gathered Mbar is built from ceil(K/2) rounds and two products:
-        ring-200 (odd K = 55) and ring-400 (even K = 110, and K = 1 on the
-        gather) equal the K-round dense recursion on I entrywise to 1e-14.
-        The dense kernel runs that recursion itself, so ring-15 at K = 1..6,
-        ring-30 and a random 20-node graph equal it exactly."""
+        """From the gather crossover up, Mbar is built from ceil(K/2) gathered
+        rounds and two products: ring-200 (odd K = 55) and ring-400 (even
+        K = 110, and K = 1) equal the K-round dense recursion on I entrywise
+        to 1e-14.  Below the crossover the build runs that recursion itself,
+        so ring-15 at K = 1..6, ring-30 and a random 20-node graph equal it
+        exactly."""
         graph = build_ring(n) if kind == "ring" else build_random_connectivity(n, 0.3, seed=1)
         op = MultiGossipOperator.from_mixing(metropolis_weights(graph), K=K)
         if K is None and n in (200, 400):
             assert op.K == {200: 55, 400: 110}[n]
         expected = _dense_recursion(op.mixing.w, np.eye(n), op.K, op.eta)
-        if op.kernel == "dense":
+        if op.n < op._gather_row:
             assert n <= 30
             assert np.array_equal(op.mbar, expected)
         else:
@@ -272,23 +273,33 @@ class TestMbar:
     @pytest.mark.parametrize("kernel", ["dense", "neighbour"])
     def test_in_place_rounds_match_plain_recursion(self, bench, large_gossip, kernel):
         """At eta > 0 the in-place rounds, with their one scratch array, give the
-        plain recursion's bits, and fast_goss gives ``states - s_K``'s: ring-15
-        on the dense kernel, ring-800 on the neighbour gather."""
+        plain recursion's bits: ring-15's through dense products with W, as
+        the Mbar build below the gather crossover runs them, and ring-800's
+        on the neighbour gather, where fast_goss gives ``states - s_K``'s."""
         op = bench.gossip if kernel == "dense" else large_gossip["ring800"]
-        assert op.kernel == kernel and op.eta > 0.0
-        apply_w = op._apply_w
+        assert op.eta > 0.0
+        apply_w = partial(np.matmul, op.mixing.w) if kernel == "dense" else op._apply_w
         states = np.random.default_rng(9).standard_normal((op.n, 6))
         before = states.copy()
         prev = cur = states
         for _ in range(op.K):
             prev, cur = cur, (1.0 + op.eta) * apply_w(cur) - op.eta * prev
         assert np.array_equal(_chebyshev(apply_w, states, op.K, op.eta), cur)
-        assert np.array_equal(op.fast_goss(states), states - cur)
+        if kernel == "neighbour":
+            assert op.kernel == "neighbour"
+            assert np.array_equal(op.fast_goss(states), states - cur)
         assert np.array_equal(states, before)
 
     def test_k1_eta0_reduces_to_w(self, ring15_mixing):
+        """At K = 1, eta = 0 below the gather crossover Mbar is W, and the
+        folded product is ``S - W @ S`` to the bit, as one plain round gives it."""
         op = MultiGossipOperator(mixing=ring15_mixing, K=1, eta=0.0)
         assert np.array_equal(op.mbar, ring15_mixing.w)
+        assert op.kernel == "folded"
+        rng = np.random.default_rng(3)
+        for trailing in ((10,), (1,), ()):
+            states = rng.standard_normal((op.n, *trailing))
+            assert np.array_equal(op.fast_goss(states), states - ring15_mixing.w @ states)
 
     def test_invalid_params(self, ring15_mixing):
         with pytest.raises(ValueError):
@@ -305,6 +316,24 @@ class TestFastGoss:
             states = np.tile(row, (op.n, 1))
             out = op.fast_goss(states)
             assert np.abs(out).max() <= 1e-12, label
+
+    def test_rounds_match_mbar_on_acceptance_topologies(self, gossip_matrix):
+        """Every acceptance topology folds, so criterion 3 checks the product
+        with Mbar; here the K distributed rounds, through the neighbour gather
+        and through dense products with W, match ``(I - Mbar) S`` to its 1e-10
+        and map consensual states to within its 1e-12 of zero."""
+        rng = np.random.default_rng(31)
+        for label, op in gossip_matrix:
+            w = op.mixing.w
+            eye_minus = np.eye(op.n) - op.mbar
+            consensual = np.tile(rng.standard_normal(3), (op.n, 1))
+            for apply_w in (_NeighbourTable(w), partial(np.matmul, w)):
+                for _ in range(20):
+                    states = rng.standard_normal((op.n, 3))
+                    rounds = states - _chebyshev(apply_w, states, op.K, op.eta)
+                    assert np.abs(rounds - eye_minus @ states).max() <= 1e-10, label
+                image = consensual - _chebyshev(apply_w, consensual, op.K, op.eta)
+                assert np.abs(image).max() <= 1e-12, label
 
     def test_complete_graph_closed_form(self):
         g = build_random_connectivity(5, 1.0, seed=0)
@@ -409,8 +438,8 @@ class TestHalfGapEigh:
     )
     def test_eigenpairs_rebuild_half_gap(self, graph):
         op = MultiGossipOperator.from_mixing(metropolis_weights(graph))
-        # ring-210 folds its K = 57 rounds into one product with Mbar
-        assert op.kernel == ("folded" if graph.n == 210 else "dense")
+        # each folds its K rounds into one product with Mbar; ring-210 by the fold rule
+        assert op.kernel == "folded"
         h, vecs = op.half_gap_eigh
         half = 0.5 * (np.eye(op.n) - op.mbar)
         assert np.abs((vecs * h) @ vecs.T - half).max() <= 1e-12
@@ -546,17 +575,24 @@ SHAPES = ((10,), (1,), ())
 
 
 class TestNeighbourKernel:
-    def test_kernel_chosen_from_sparsity(self, large_gossip, bench, gossip_matrix):
-        # the gather from n >= 20 * width + 100: 160 on rings, 360 at width 13;
-        # folded up to n = 512 once 2 * n < K * (20 * width + 100)
+    def test_kernel_chosen_from_sparsity(self, large_gossip, bench, gossip_matrix, reach_mixings):
+        # folded at every K below n = 20 * width + 100 (160 on rings, 360 at
+        # width 13); from there, folded up to n = 512 once 2 * n < K * (20 * width + 100)
         assert {label: large_gossip[label].kernel for label in LARGE} == {
             "ring200": "folded",
             "ring400": "folded",
             "ring800": "neighbour",
             "rand1000": "neighbour",
         }
-        assert bench.gossip.kernel == "dense"
-        assert all(op.kernel == "dense" for _, op in gossip_matrix)
+        assert bench.gossip.kernel == "folded"
+        ring15 = bench.gossip.mixing
+        assert {MultiGossipOperator.from_mixing(ring15, K=K).kernel for K in range(1, 7)} == {
+            "folded"
+        }
+        ring100 = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(100)))
+        assert (ring100.K, ring100.kernel) == (27, "folded")
+        assert all(op.kernel == "folded" for _, op in gossip_matrix)
+        assert MultiGossipOperator.from_mixing(reach_mixings["ring512"]).kernel == "folded"
         # a ring-400 row costs 160 per gathered round against 800 for the product
         mixing = large_gossip["ring400"].mixing
         kernels = {K: MultiGossipOperator.from_mixing(mixing, K=K).kernel for K in (1, 5, 6)}
@@ -570,10 +606,10 @@ class TestNeighbourKernel:
         states = np.random.default_rng(5).standard_normal((op.n, 10))
         assert np.array_equal(op.fast_goss(states), states - op.__dict__["mbar"] @ states)
 
-    @pytest.mark.parametrize("label", LARGE)
+    @pytest.mark.parametrize("label", ("ring15",) + LARGE)
     @pytest.mark.parametrize("trailing", SHAPES)
-    def test_matches_dense_kernel(self, large_gossip, label, trailing):
-        op = large_gossip[label]
+    def test_matches_dense_kernel(self, large_gossip, bench, label, trailing):
+        op = bench.gossip if label == "ring15" else large_gossip[label]
         rng = np.random.default_rng(7)
         states = rng.standard_normal((op.n, *trailing))
         before = states.copy()
@@ -654,13 +690,6 @@ class TestNeighbourKernel:
         for trailing in SHAPES:
             states = rng.standard_normal((op.n, *trailing))
             assert np.abs(op.fast_goss(states) - eye_minus @ states).max() <= 1e-10, trailing
-
-    @pytest.mark.parametrize("trailing", SHAPES)
-    def test_ring15_dense_kernel_bit_identical(self, bench, trailing):
-        op = bench.gossip
-        states = np.random.default_rng(3).standard_normal((op.n, *trailing))
-        expected = states - _dense_recursion(op.mixing.w, states, op.K, op.eta)
-        assert np.array_equal(op.fast_goss(states), expected)
 
     @pytest.mark.parametrize("label", ("ring15",) + LARGE)
     def test_trailing_axes_batch_as_columns(self, large_gossip, bench, label):

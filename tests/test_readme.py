@@ -53,3 +53,18 @@ def test_kernel_rules_quote_gossip_constants():
     assert re.findall(rule, section) == [(cap, fold, *gather)]
     assert re.findall(r"about (\d+) dense-row entries per\s+node", section) == [fold]
     assert re.findall(r"above\s+n = (\d+)", section) == [cap]
+
+
+def test_kernel_list_is_the_code_kernels():
+    """The kernels "Gossip kernels" names in bold are the ones the operator
+    picks: ring-15 folds, ring-400 gathers at K = 1 and folds at its default K."""
+    section = README.split("## Gossip kernels", 1)[1].split("\n## ", 1)[0]
+    ring15 = gossipskip.metropolis_weights(gossipskip.build_ring(15))
+    ring400 = gossipskip.metropolis_weights(gossipskip.build_ring(400))
+    operators = [
+        gossipskip.MultiGossipOperator.from_mixing(mixing, K=K)
+        for mixing, K in ((ring15, None), (ring400, 1), (ring400, None))
+    ]
+    kernels = {op.kernel for op in operators}
+    assert kernels == {"folded", "neighbour"}
+    assert set(re.findall(r"\*\*(\w+)\*\*", section)) == kernels
