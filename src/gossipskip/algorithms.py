@@ -44,7 +44,6 @@ from .problems import ProblemInstance, ReferenceSolution
 
 __all__ = [
     "RunConfig",
-    "check_stepsize",
     "MGSkipState",
     "RunResult",
     "DivergenceError",
@@ -58,7 +57,6 @@ __all__ = [
     "ContractionReport",
     "check_contraction",
     "PUDAConfig",
-    "PUDAState",
     "puda_mgskip_p1",
     "puda_nids",
     "puda_step",
@@ -229,12 +227,13 @@ def _run(step, state, thetas, rounds, x_star_stack, tol, comm_budget=None, psi=N
     costs ``rounds`` gossip rounds.  Stops after the first row with
     ``rel_err < tol`` (if ``tol`` is positive), after the last coin, or as
     soon as ``comm_rounds >= comm_budget`` when a budget is given, and
-    names which in ``stop_reason``.  ``psi``, when given, maps a state to
-    its Lyapunov value.  A
-    :class:`DivergenceError` from ``step`` is re-raised naming the
-    iteration and carrying the rows recorded before it.
+    names which in ``stop_reason``.  ``rel_err`` is ``||X - X*|| / ||X*||``
+    (Frobenius), or ``||X - X*|| / sqrt(n)``, the per-node absolute error,
+    when ``X* = 0``.  ``psi``, when given, maps a state to its Lyapunov
+    value.  A :class:`DivergenceError` from ``step`` is re-raised naming
+    the iteration and carrying the rows recorded before it.
     """
-    norm_star = float(np.linalg.norm(x_star_stack))
+    norm_star = float(np.linalg.norm(x_star_stack)) or math.sqrt(len(x_star_stack))
     psi0 = psi(state) if psi else float("nan")
     comm = 0
     # a list append costs a fraction of a per-row array write; result() converts once

@@ -66,21 +66,7 @@ from .problems import (
 )
 from .topology import Graph, MixingMatrix, build_random_connectivity, build_ring, metropolis_weights
 
-__all__ = [
-    "AlgorithmSpec",
-    "ExperimentSpec",
-    "parse_config",
-    "build_graph",
-    "build_problem",
-    "build_gossip",
-    "setup_experiment",
-    "run_experiment",
-    "reference_certifies",
-    "UncertifiedReferenceError",
-    "TRACE_COLUMNS",
-    "SUMMARY_COLUMNS",
-    "GRAPH_KINDS",
-]
+__all__ = ["AlgorithmSpec", "ExperimentSpec", "parse_config", "run_experiment"]
 
 GRAPH_KINDS = ("ring", "random")
 
@@ -152,6 +138,13 @@ def _probability(p: float) -> float:
     return p
 
 
+def _file_name(text: str) -> str:
+    """``text`` when it can stand in a trace file's name: no ``/``, ``\\`` or NUL."""
+    if any(char in text for char in "/\\\0"):
+        raise ValueError(f"expected a name without '/', '\\' or NUL, got {text!r}")
+    return text
+
+
 def _distinct_ints(text: str) -> tuple[int, ...]:
     values = tuple(int(token) for token in text.split(","))
     if len(set(values)) < len(values) or min(values) < 0:
@@ -205,7 +198,7 @@ _KEYS = (
     ("problem", "gamma2", ("logistic", "libsvm"), _WEIGHT, 0.001),
     ("alg", "kind", None, _ALG_KIND, "mg_skip"),
     ("alg", "alpha", None, _ALPHA_RULE, None),
-    ("alg", "name", None, str, None),
+    ("alg", "name", None, _file_name, None),
     # skip1 always gossips once; the engine neither skips nor takes a round count
     ("alg", "p", ("mg_skip", "skip1"), _UNIT, None),
     ("alg", "K", ("mg_skip",), _K_RULE, None),
@@ -240,6 +233,7 @@ class AlgorithmSpec:
         _probability(self.p)
         _ALPHA_RULE(self.alpha_rule)
         _K_RULE(self.k_rule)
+        _file_name(self.name)
         if not self.name:
             label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"
             object.__setattr__(self, "name", label)
@@ -395,7 +389,7 @@ def build_problem(spec: ExperimentSpec, mixing: MixingMatrix) -> ProblemInstance
             lsmooth = mu * 0.5 / (1.0 - mixing.rho)
         else:
             lsmooth = mu * problem["kappa"]
-        reg = L1Reg(weight=problem["gamma2"]) if problem["gamma2"] > 0.0 else None
+        reg = L1Reg(weight=problem["gamma2"])
         return gen_least_squares(mixing.n, problem["d"], mu, lsmooth, problem["seed"], reg=reg)
     gamma1, gamma2, seed = problem["gamma1"], problem["gamma2"], problem["seed"]
     if problem["kind"] == "logistic":

@@ -1,7 +1,8 @@
 """Problem instances: smooth per-node losses plus a shared proximable term.
 
 Each node holds a strongly convex smooth loss with known moduli
-``(mu_i, L_i)``; the shared nonsmooth term enters only through its
+``(mu_i, L_i)``; the shared nonsmooth term, an L1 weight (``L1Reg``, the
+zero regularizer being ``L1Reg(0.0)``), enters only through its
 proximal mapping.  Generators cover the synthetic least-squares and
 logistic families, a LIBSVM-format loader partitions real data across
 nodes, and :func:`centralized_solve` produces the reference solution
@@ -27,7 +28,6 @@ from .topology import Graph
 __all__ = [
     "QuadraticLoss",
     "LogisticLoss",
-    "ZeroReg",
     "L1Reg",
     "l1_prox",
     "ProblemInstance",
@@ -120,22 +120,19 @@ class LogisticLoss:
         return g + 2.0 * self.gamma1 * x
 
 
-class ZeroReg:
-    """The zero regularizer; its prox is the identity."""
-
-    weight = 0.0
-
-    def prox(self, alpha: float, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float)
-
-
 @dataclass(frozen=True)
 class L1Reg:
-    """``r(x) = weight * ||x||_1`` with soft-thresholding prox."""
+    """``r(x) = weight * ||x||_1`` with soft-thresholding prox.
 
-    weight: float
+    ``L1Reg(0.0)``, the default, is the zero regularizer: its prox is the
+    identity, returned as ``np.asarray(y, dtype=float)`` without a threshold.
+    """
+
+    weight: float = 0.0
 
     def prox(self, alpha: float, y: np.ndarray) -> np.ndarray:
+        if self.weight == 0.0:
+            return np.asarray(y, dtype=float)
         return l1_prox(alpha, self.weight, y)
 
 
@@ -219,7 +216,7 @@ class ProblemInstance:
     """
 
     losses: tuple
-    reg: object
+    reg: L1Reg
     dim: int
     L: float = field(init=False, repr=False)
     mu: float = field(init=False, repr=False)
@@ -306,7 +303,7 @@ def gen_least_squares(
     mu: float,
     lsmooth: float,
     seed: int,
-    reg: object | None = None,
+    reg: L1Reg = L1Reg(),
 ) -> ProblemInstance:
     """Synthetic least squares with per-node curvature pinned exactly.
 
@@ -316,7 +313,7 @@ def gen_least_squares(
     that ``eig(A_i^T A_i)`` spans exactly ``[mu, lsmooth]`` on every
     node (and the averaged Hessian keeps the same extreme values).
     Targets ``b_i`` are standard normal.  The regularizer defaults to
-    zero.
+    zero, ``L1Reg(0.0)``.
     """
     if not 0.0 < mu <= lsmooth:
         raise ValueError(f"need 0 < mu <= lsmooth, got mu={mu}, lsmooth={lsmooth}")
@@ -339,7 +336,7 @@ def gen_least_squares(
     a = np.linalg.qr(normals)[0]
     a *= np.sqrt(evals)[:, None, :]  # Q @ diag(s), so A^T A = diag(evals)
     losses = tuple(QuadraticLoss(a=a[i], b=b[i], mu=mu, lsmooth=lsmooth) for i in range(n))
-    return ProblemInstance(losses=losses, reg=reg or ZeroReg(), dim=d)
+    return ProblemInstance(losses=losses, reg=reg, dim=d)
 
 
 def gen_logistic(
@@ -378,8 +375,9 @@ def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, n
     Raises
     ------
     ValueError
-        On malformed lines (reported with their line number), labels
-        outside the supported sets, or an empty file.
+        On malformed lines or non-finite feature values (reported with
+        their line number), labels outside the supported sets, or an
+        empty file.
     """
     rows: list[dict[int, float]] = []
     labels: list[float] = []
@@ -400,6 +398,8 @@ def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, n
                     idx_s, val_s = tok.split(":")
                     idx = int(idx_s)
                     val = float(val_s)
+                    if not math.isfinite(val):  # nan or inf, as 1e400 reads
+                        raise ValueError
                 except ValueError:
                     raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
                 if idx < 1:
@@ -450,8 +450,7 @@ def logistic_from_parts(
     losses = tuple(
         LogisticLoss(features=f, labels=y, gamma1=gamma1) for f, y in parts
     )
-    reg = L1Reg(weight=gamma2) if gamma2 > 0.0 else ZeroReg()
-    return ProblemInstance(losses=losses, reg=reg, dim=losses[0].dim)
+    return ProblemInstance(losses=losses, reg=L1Reg(weight=gamma2), dim=losses[0].dim)
 
 
 def flood_constants(
@@ -488,12 +487,12 @@ def centralized_solve(
 ) -> ReferenceSolution:
     """Reference solution of ``min F = f + r``, ``f = (1/n) sum f_i``, certified to ``tol``.
 
-    Least squares with the zero regularizer is one direct solve of the
-    averaged normal equations ``mean_gram @ x = mean_atb`` (``iterations``
-    is 0).  Every other problem runs FISTA (Beck & Teboulle 2009) with step
-    ``1/L`` and gradient-based adaptive restart (O'Donoghue & Candes 2015,
-    arXiv:1204.3982): momentum restarts whenever the last step moved against
-    the gradient mapping.  That takes O(sqrt(kappa) log(1/tol)) iterations,
+    Least squares with the zero regularizer ``L1Reg(0.0)`` is one direct
+    solve of the averaged normal equations ``mean_gram @ x = mean_atb``
+    (``iterations`` is 0).  Every other problem runs FISTA (Beck & Teboulle
+    2009) with step ``1/L`` and gradient-based adaptive restart (O'Donoghue
+    & Candes 2015, arXiv:1204.3982): momentum restarts whenever the last
+    step moved against the gradient mapping.  That takes O(sqrt(kappa) log(1/tol)) iterations,
     each one ``gradient_average`` call.
 
     The certificate.  ``f`` is ``mu``-strongly convex and ``L``-smooth.  Let
@@ -529,7 +528,7 @@ def centralized_solve(
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     stack = problem._stack
-    if isinstance(stack, _QuadraticStack) and isinstance(problem.reg, ZeroReg):
+    if isinstance(stack, _QuadraticStack) and problem.reg.weight == 0.0:
         x = np.linalg.solve(stack.mean_gram, stack.mean_atb)
         grad = float(np.linalg.norm(stack.average(x)))
         ref = ReferenceSolution(

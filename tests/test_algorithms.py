@@ -17,7 +17,6 @@ from gossipskip import (
     ProblemInstance,
     QuadraticLoss,
     RunConfig,
-    ZeroReg,
     build_random_connectivity,
     build_ring,
     check_contraction,
@@ -44,7 +43,7 @@ def single_node_setup(target=3.0):
     mixing = MixingMatrix.from_matrix(np.array([[1.0]]))
     gossip = MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
     loss = QuadraticLoss(a=np.eye(1), b=np.array([target]), mu=1.0, lsmooth=1.0)
-    problem = ProblemInstance(losses=(loss,), reg=ZeroReg(), dim=1)
+    problem = ProblemInstance(losses=(loss,), reg=L1Reg(), dim=1)
     return problem, gossip
 
 
@@ -328,7 +327,7 @@ class TestRun:
         assert res.stopped == (reason == "tol")
 
     def test_divergence_carries_partial_trace(self):
-        problem = ProblemInstance(losses=(TimeBomb(3),), reg=ZeroReg(), dim=2)
+        problem = ProblemInstance(losses=(TimeBomb(3),), reg=L1Reg(), dim=2)
         mixing = MixingMatrix.from_matrix(np.array([[1.0]]))
         gossip = MultiGossipOperator(mixing=mixing, K=1, eta=0.0)
         cfg = RunConfig(alpha=0.5, p=1.0, T=50, tol=0.0, seed=0)
@@ -357,6 +356,21 @@ class TestRun:
         partial = err.value.result
         assert partial.iterations == 0
         assert np.isfinite(partial.state.x).all() and np.isfinite(partial.state.y).all()
+
+    def test_zero_minimiser_measured_per_node(self):
+        # an L1 weight this large puts x* at 0: rel_err is ||X||_F / sqrt(n)
+        problem = gen_least_squares(15, 10, 1.0, 5.0, seed=1, reg=L1Reg(weight=3.0))
+        reference = centralized_solve(problem, tol=1e-13)
+        assert not reference.xstar.any()
+        gossip = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(15)))
+        alpha = 0.2 / problem.L
+        first = mg_skip_run(problem, gossip, RunConfig(alpha=alpha, p=1.0, T=1), reference)
+        assert first.rel_err[0] == np.linalg.norm(first.state.x) / np.sqrt(15) > 0.0
+        runs = (
+            mg_skip_run(problem, gossip, RunConfig(alpha=alpha, p=1.0, T=2000, tol=1e-7), reference),
+            puda_run(problem, puda_nids(gossip), alpha, 2000, reference, tol=1e-7),
+        )
+        assert [run.stop_reason for run in runs] == ["tol", "tol"]
 
 
 class TestFixedPointResidual:
@@ -584,7 +598,7 @@ class TestPUDA:
             QuadraticLoss(a=3.0 * np.eye(3), b=np.full(3, i + 1.0), mu=1.0, lsmooth=1.0)
             for i in range(6)
         )
-        problem = ProblemInstance(losses=losses, reg=ZeroReg(), dim=3)
+        problem = ProblemInstance(losses=losses, reg=L1Reg(), dim=3)
         cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
         with pytest.raises(DivergenceError) as err:
             puda_run(problem, cfg, 1.0, 2000, np.ones(3))
@@ -644,7 +658,7 @@ class TestPUDA:
         assert np.abs(res.state.x - bench.problem.prox_stack(alpha, half @ z0)).max() <= 1e-14
 
     def test_divergence_at_first_iteration(self):
-        problem = ProblemInstance(losses=tuple(TimeBomb(0) for _ in range(6)), reg=ZeroReg(), dim=2)
+        problem = ProblemInstance(losses=tuple(TimeBomb(0) for _ in range(6)), reg=L1Reg(), dim=2)
         cfg = puda_nids(one_round(metropolis_weights(build_ring(6))))
         with pytest.raises(DivergenceError, match="t=0$") as err:
             puda_run(problem, cfg, 0.5, 3, np.ones(2))

@@ -373,6 +373,23 @@ class TestRun:
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--p", "1,0.5"]])
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b"])
+    def test_alg_name_outside_out_dir_exit_2(self, tmp_path, capsys, command, name):
+        """A row's name is its trace files' name: one with a path separator or NUL
+        is one config error line naming the key's line, and nothing is written."""
+        config = tmp_path / "cfg" / "exp.cfg"
+        config.parent.mkdir()
+        config.write_text(COMPLETE_GRAPH_CONFIG + f"alg.0.name = {name}\n")
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 2
+        lineno = len(COMPLETE_GRAPH_CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"config error: config line {lineno}: alg.0.name: expected a name without "
+            f"'/', '\\' or NUL, got {name!r}\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
+
     def test_run_time_error_still_raises(self, tmp_path, diverging_engine):
         # a config that is built but fails in its run is no config error: it raises
         config = tmp_path / "exp.cfg"

@@ -494,6 +494,12 @@ class TestAlgorithmSpec:
         with pytest.raises(ValueError):
             AlgorithmSpec(kind="unknown")
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b"])
+    def test_name_that_is_no_file_name_rejected(self, name):
+        # the name is the trace file's; the config reader refuses the same names
+        with pytest.raises(ValueError, match="expected a name without '/', '\\\\' or NUL"):
+            AlgorithmSpec(kind="mg_skip", name=name)
+
 
 class TestRunExperiment:
     def test_exact_row_count_and_schema(self, tmp_path):

@@ -13,7 +13,6 @@ from gossipskip import (
     LogisticLoss,
     ProblemInstance,
     QuadraticLoss,
-    ZeroReg,
     build_ring,
     centralized_solve,
     flood_constants,
@@ -270,8 +269,13 @@ class TestLibsvm:
             ("+1 1:1.0\nyes 2:1.0\n", 1, "line 2: bad label 'yes'"),
             ("+1 1:1.0\n-1 0:1.0\n", 1, "line 2: indices are 1-based, got 0"),
             ("+1 1:1.0\n-1 2:1.0\n", 3, "cannot split 2 samples across 3 nodes"),
+            # a non-finite feature would make L infinite and the stepsize 0
+            *(
+                (f"+1 1:1.0\n-1 2:{value}\n", 1, f"^line 2: bad feature '2:{value}'$")
+                for value in ("nan", "inf", "-inf", "1e400")
+            ),
         ],
-        ids=["bad-label", "zero-index", "fewer-samples-than-nodes"],
+        ids=["bad-label", "zero-index", "fewer-samples-than-nodes", "nan", "inf", "-inf", "1e400"],
     )
     def test_rejected(self, tmp_path, text, n, message):
         path = self.write(tmp_path, text)
@@ -332,7 +336,7 @@ class TestCentralizedSolve:
     def test_single_quadratic(self):
         c = np.array([2.0, -1.0])
         loss = QuadraticLoss(a=np.eye(2), b=c, mu=1.0, lsmooth=1.0)
-        p = ProblemInstance(losses=(loss,), reg=ZeroReg(), dim=2)
+        p = ProblemInstance(losses=(loss,), reg=L1Reg(), dim=2)
         ref = centralized_solve(p, tol=1e-14)
         assert np.linalg.norm(ref.xstar - c) <= 1e-13
 
@@ -541,14 +545,14 @@ class TestProblemInstance:
 
     def test_requires_losses_of_one_dimension(self):
         with pytest.raises(ValueError, match="at least one node loss"):
-            ProblemInstance(losses=(), reg=ZeroReg(), dim=2)
+            ProblemInstance(losses=(), reg=L1Reg(), dim=2)
         losses = tuple(
             QuadraticLoss(a=np.eye(d), b=np.zeros(d), mu=1.0, lsmooth=1.0) for d in (2, 3)
         )
         with pytest.raises(ValueError, match="inconsistent loss dimensions"):
-            ProblemInstance(losses=losses, reg=ZeroReg(), dim=2)
+            ProblemInstance(losses=losses, reg=L1Reg(), dim=2)
 
     def test_requires_strong_convexity(self):
         loss = QuadraticLoss(a=np.zeros((2, 2)), b=np.zeros(2), mu=0.0, lsmooth=0.0)
         with pytest.raises(ValueError, match="strongly convex"):
-            ProblemInstance(losses=(loss,), reg=ZeroReg(), dim=2)
+            ProblemInstance(losses=(loss,), reg=L1Reg(), dim=2)

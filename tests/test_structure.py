@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import gossipskip
@@ -11,6 +12,8 @@ PACKAGE = Path(gossipskip.__file__).resolve().parent
 
 # each module imports only from modules of a lower layer
 LAYERS = {"topology": 0, "gossip": 1, "problems": 1, "algorithms": 2, "harness": 3, "cli": 4}
+# the modules whose __all__ the package republishes
+API_MODULES = ("topology", "gossip", "problems", "algorithms", "harness")
 
 
 def _tree(module: str) -> ast.Module:
@@ -66,3 +69,19 @@ def test_cli_builds_nothing_itself():
     """The CLI reaches graphs, problems and the reference through the harness."""
     banned = {"build_ring", "build_random_connectivity", "build_problem", "centralized_solve"}
     assert banned.intersection(_names(_tree("cli"))) == set()
+
+
+def test_package_api_is_the_modules_all():
+    """``gossipskip`` publishes exactly its modules' ``__all__``, and each
+    module defines every name in its own list."""
+    modules = [importlib.import_module(f"gossipskip.{name}") for name in API_MODULES]
+    public = {name for name in dir(gossipskip) if not name.startswith("_")} - set(LAYERS)
+    assert public == {name for module in modules for name in module.__all__}
+    undefined = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+        or getattr(getattr(module, name), "__module__", module.__name__) != module.__name__
+    ]
+    assert undefined == []
