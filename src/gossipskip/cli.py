@@ -107,7 +107,9 @@ def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str
         float(np.linalg.norm(one.x - start.x)), float(np.linalg.norm(one.y - start.y))
     )
 
-    certified = f"error bound {reference.relative_error_bound:.1e} relative (run.tol {spec.tol:g})"
+    # relative_error_bound is the absolute bound when x* = 0
+    scale = "relative" if np.linalg.norm(reference.xstar) > 0.0 else "absolute"
+    certified = f"error bound {reference.relative_error_bound:.1e} {scale} (run.tol {spec.tol:g})"
     radius = f"radius {report.radius:.4f} vs bound {report.radius_bound:.4f} (K={report.K})"
     checks = [
         ("reference x* certified", certified, reference_certifies(reference, spec.tol)),

@@ -62,13 +62,15 @@ _NULL_TOL = 1e-9
 # a gather round costs about what a dense row of 20 entries per slot plus
 # 100 costs.  Rings cross at n = 160, and no graph below n = 120 ever does.
 # Measured per W @ S at d = 10, one BLAS thread, 2-core x86-64 VM, dense vs
-# gather: ring-90 9 vs 12 us, ring-120 12-13 vs 13-14 us, ring-200 29 vs
-# 16-17 us; random graphs n = 200 (width 9) 31 vs 32-34 us, n = 250 (width
-# 10) 35-41 vs 43-46 us, n = 350 (width 11) 184-192 vs 57-67 us, n = 800
-# (width 14) 1063-1133 vs 203-228 us.  Dense cost jumps between n = 300 and
-# 350 (a cache effect), so no single n / width ratio fits both rings and
-# random graphs.  Below the crossover one product with Mbar costs no more
-# than one W @ S, so folding beats K dense rounds at every K.
+# gather: ring-90 5.1-5.5 vs 7.4-7.7 us, ring-120 7.6-7.9 vs 8.7-9.2 us,
+# ring-200 19.6-20.1 vs 12.0-12.2 us; random graphs n = 200 (width 9) 17-25
+# vs 24-36 us, n = 250 (width 10) 28 vs 32-38 us, n = 350 (width 11) 103-110
+# vs 48-51 us, n = 800 (width 14) 661-712 vs 140-145 us.  So the fitted
+# crossover still falls between ring-120 (dense) and ring-200 (gather).
+# Dense cost jumps between n = 300 and 350 (a cache effect), so no single
+# n / width ratio fits both rings and random graphs.  Below the crossover
+# one product with Mbar costs no more than one W @ S, so folding beats K
+# dense rounds at every K.
 _GATHER_COST_PER_SLOT = 20
 _GATHER_COST_PER_ROW = 100
 
@@ -265,9 +267,9 @@ class _NeighbourTable:
 
     ``idx`` and ``wts`` have shape ``(width, n)``: row ``i`` of ``W @ s``
     is ``sum_k wts[k, i] * s[idx[k, i]]``.  Rows with fewer than
-    ``width`` nonzeros are padded with weight 0 on the node itself.
-    ``wts_by_shape`` maps each trailing state shape met so far to its
-    :func:`_layout` of ``wts``, and a call gathers through :func:`_gather`.
+    ``width`` nonzeros are padded with weight 0 on the node itself.  A
+    call gathers through :func:`_gather` and keeps nothing, so the table
+    holds ``idx`` and ``wts`` alone whatever states it has met.
     """
 
     def __init__(self, w: np.ndarray) -> None:
@@ -279,35 +281,21 @@ class _NeighbourTable:
         self.wts = np.zeros(self.idx.shape)
         self.idx[slot, rows] = cols
         self.wts[slot, rows] = w[rows, cols]
-        self.wts_by_shape: dict[tuple[int, ...], np.ndarray] = {}
-
-    def layout(self, trailing: tuple[int, ...]) -> np.ndarray:
-        """``wts`` laid out as ``(width, n, *trailing)``, built on first use."""
-        wts = self.wts_by_shape.get(trailing)
-        if wts is None:
-            # concurrent first calls build equal copies; every caller uses the stored one
-            wts = self.wts_by_shape.setdefault(trailing, _layout(self.wts, trailing))
-        return wts
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return _gather(s, self.idx, self.layout(s.shape[1:]))
-
-
-def _layout(wts: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
-    """A read-only copy of ``wts`` laid out as ``(width, n, *trailing)``: the gather's
-    multiply then runs over contiguous operands, not ``wts`` broadcast with stride 0
-    (which took about half of each round)."""
-    column = wts.reshape(wts.shape + (1,) * len(trailing))
-    out = np.broadcast_to(column, wts.shape + trailing).copy()
-    out.setflags(write=False)
-    return out
+        return _gather(s, self.idx, self.wts)
 
 
 def _gather(s: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """``sum_k wts[k, i] * s[idx[k, i]]`` for each row ``i``, ``wts`` as :func:`_layout` gives it."""
-    g = np.take(s, idx, axis=0)
-    g *= wts
-    return g.sum(axis=0)
+    """``sum_k wts[k, i] * s[idx[k, i]]`` for each row ``i``, ``idx`` and ``wts``
+    of shape ``(width, rows)`` and ``s`` of any trailing shape.
+
+    ``np.einsum`` multiplies each gathered row by its weight and adds the
+    ``width`` products in slot order, the same operations as multiplying by
+    ``wts`` broadcast over the trailing axes and summing over slots, so the
+    result is the same to the bit, signed zeros included.
+    """
+    return np.einsum("kn,kn...->n...", wts, np.take(s, idx, axis=0))
 
 
 def _chebyshev(apply_w, states: np.ndarray, K: int, eta: float) -> np.ndarray:
@@ -370,8 +358,7 @@ def _half_round_build(table: _NeighbourTable, K: int, eta: float) -> np.ndarray:
         rows = np.argsort(hops[:, block], kind="stable")[: reach[h]]
         local = np.full(n, rows.size)  # renumbered; a neighbour beyond them reads row rows.size
         local[rows] = np.arange(rows.size)
-        wts = _layout(table.wts[:, rows], (min(_MBAR_BLOCK, n - top),))
-        rounds = _reach_rounds(local[table.idx[:, rows]], wts, reach, h, eta)
+        rounds = _reach_rounds(local[table.idx[:, rows]], table.wts[:, rows], reach, h, eta)
         for out, values in zip(p, rounds):
             out[rows, cols] = values
     # the left operands P_a, P_{a-1}, and the output
@@ -416,17 +403,18 @@ def _block_hops(idx: np.ndarray, n: int, h: int) -> np.ndarray:
 def _reach_rounds(idx: np.ndarray, wts: np.ndarray, reach: np.ndarray, h: int, eta: float):
     """One block's ``P_{h-2}``, ``P_{h-1}`` and ``P_h`` on its reached rows.
 
-    ``idx`` and ``wts``, laid out for the block's ``width`` columns, gather
-    the block's rows nearest first, its own nodes leading; ``reach[k]`` of
-    them lie within ``k`` hops.  Round ``k`` gathers through the first
+    ``idx`` and ``wts``, of shape ``(width, rows)``, gather the block's
+    ``rows`` reached rows nearest first, its own nodes leading; ``reach[k]``
+    of them lie within ``k`` hops, so ``reach[0]`` is the block's own node
+    count, its number of columns.  Round ``k`` gathers through the first
     ``reach[k]`` rows only, as ``P_k`` is zero on the rest.  Three buffers
     hold the iterates, with one zero row past the reached ones for the
     neighbours beyond them; the buffer each round writes held ``P_{k-3}``,
     whose rows all lie within ``reach[k]``, so no row it skips is nonzero.
     """
-    size, width = wts.shape[1:]
-    prev, cur, nxt = (np.zeros((size + 1, width)) for _ in range(3))  # P_{-1}, P_0, spare
-    cur[:width] = np.eye(width)
+    size, cols = wts.shape[1], reach[0]
+    prev, cur, nxt = (np.zeros((size + 1, cols)) for _ in range(3))  # P_{-1}, P_0, spare
+    cur[:cols] = np.eye(cols)
     for k in range(1, h + 1):
         within = reach[k]
         step = nxt[:within]

@@ -296,7 +296,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentSpec:
         scope = section
         if section == "alg":
             aid, _, field = field.partition(".")
-            scope = f"alg.{aid}" if aid.isdigit() else ""
+            # one scope per row: "01" or a non-ASCII digit would name a second alg.1
+            canonical = aid.isascii() and aid.isdigit() and str(int(aid)) == aid
+            scope = f"alg.{aid}" if canonical else ""
         rows = [row for row in _KEYS if scope and row[:2] == (section, field)]
         if not rows:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")

@@ -34,6 +34,24 @@ alg.0.alpha = one_over_5L
 alg.0.p = 0.5
 """
 
+# ring-15 least squares whose L1 weight puts the minimiser at x* = 0
+ZERO_MINIMISER_CONFIG = """
+graph.kind = ring
+graph.n = 15
+problem.kind = least_squares
+problem.d = 10
+problem.mu = 1.0
+problem.kappa = 5
+problem.seed = 1
+problem.gamma2 = 3
+run.T = 200
+run.tol = 1e-7
+run.seeds = 0
+alg.0.kind = mg_skip
+alg.0.alpha = one_over_5L
+alg.0.p = 1.0
+"""
+
 # limits that tie two keys, which the builders check: exit 2 like a bad value
 TWO_KEY_LIMITS = [
     (("graph.n = 5\ngraph.iota = 1.0", "graph.n = 15\ngraph.iota = 0.05"),
@@ -206,8 +224,19 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--steps", "5"]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if "x* certified" in line]
         assert len(lines) == 1 and "PASS" in lines[0]
+        assert lines[0].endswith(" relative (run.tol 1e-07)")
         bound = float(lines[0].split("error bound ")[1].split()[0])
         assert bound <= 1e-10
+
+    def test_zero_minimiser_certificate_is_absolute(self, tmp_path, capsys):
+        """Where x* = 0 the reference's bound is the absolute one, and the
+        certificate line says so."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(ZERO_MINIMISER_CONFIG)
+        main(["verify", "--config", str(config), "--steps", "3"])
+        lines = [line for line in capsys.readouterr().out.splitlines() if "x* certified" in line]
+        assert len(lines) == 1
+        assert lines[0].endswith("PASS  error bound 0.0e+00 absolute (run.tol 1e-07)")
 
     def test_zero_steps_omit_contraction_row(self, tmp_path, capsys):
         """Over 0 steps there is no contraction check: no row, and the count
@@ -387,6 +416,26 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"config error: config line {lineno}: alg.0.name: expected a name without "
             f"'/', '\\' or NUL, got {name!r}\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--p", "1,0.5"]])
+    @pytest.mark.parametrize("index", ["01", "00", "+1", "\u0663", "1\u00b2"])
+    def test_non_canonical_alg_index_exit_2(self, tmp_path, capsys, command, index):
+        """An algorithm index is a canonical ASCII decimal: ``alg.01`` beside
+        ``alg.1`` would be a second row, as would one written in other
+        digits.  Any other index is an unknown key, and nothing is written."""
+        config = tmp_path / "cfg" / "exp.cfg"
+        config.parent.mkdir()
+        config.write_text(
+            ZERO_MINIMISER_CONFIG.replace("alg.0.", f"alg.{index}.")
+            + "alg.1.kind = skip1\nalg.1.alpha = one_over_5L\n"
+        )
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 2
+        lineno = ZERO_MINIMISER_CONFIG.splitlines().index("alg.0.kind = mg_skip") + 1
+        assert capsys.readouterr().err == (
+            f"config error: config line {lineno}: unknown key 'alg.{index}.kind'\n"
         )
         assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
 

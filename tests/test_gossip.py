@@ -130,8 +130,7 @@ class TestMbar:
         """Building ring-400's Mbar allocates at most 3 n^2 doubles (the half-round
         build's P_{h-2}, P_{h-1} and P_h, one of which becomes Mbar) plus one
         block's temporaries: the identity block and three iterates of the
-        recursion, and per gathered round a (width, n, block) product and weight
-        layout (two layouts, for the full and the last partial block)."""
+        recursion, and per gathered round a (width, n, block) product."""
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
         n, width = op.n, 3
         tracemalloc.start()
@@ -145,7 +144,7 @@ class TestMbar:
     def test_build_keeps_no_weight_layout(self):
         """After ring-400's Mbar is built the folded operator holds Mbar only:
         it never builds the neighbour table ``fast_goss`` would gather with, and
-        the build's own table and its (width, n, block) weight layouts are freed."""
+        the build's own table and its (width, n, block) temporaries are freed."""
         op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(400)))
         n = op.n
         tracemalloc.start()
@@ -624,34 +623,37 @@ class TestNeighbourKernel:
         assert np.array_equal(states, before)
 
     @pytest.mark.parametrize("label", ("ring400", "rand1000"))
-    @pytest.mark.parametrize("trailing", SHAPES + ((32,),))
+    @pytest.mark.parametrize("trailing", SHAPES + ((32,), (3, 2)))
     def test_gather_bit_identical_to_broadcast_weights(self, large_gossip, label, trailing):
+        """The gather equals multiplying by the weights broadcast over the
+        trailing axes and summing over slots, bit for bit: on unit normal
+        states, and on all -0.0 states, whose products are -0.0 and whose sums
+        both start from +0.0."""
         table = _NeighbourTable(large_gossip[label].mixing.w)
         # rand1000's rows are padded: only its widest row fills every slot
         assert (table.wts == 0.0).any() == (label == "rand1000")
-        states = np.random.default_rng(13).standard_normal((table.wts.shape[1], *trailing))
-        before = states.copy()
-        # the weights broadcast over the trailing axes with stride 0
-        wts = table.wts.reshape(table.wts.shape + (1,) * len(trailing))
-        expected = (np.take(states, table.idx, axis=0) * wts).sum(axis=0)
-        assert np.array_equal(table(states), expected)
-        assert np.array_equal(table(states), expected)  # from the cached layout
-        assert np.array_equal(states, before)
+        shape = (table.wts.shape[1], *trailing)
+        normal = np.random.default_rng(13).standard_normal(shape)
+        for states in (normal, np.full(shape, -0.0)):
+            before = states.copy()
+            # the weights broadcast over the trailing axes with stride 0
+            wts = table.wts.reshape(table.wts.shape + (1,) * len(trailing))
+            expected = (np.take(states, table.idx, axis=0) * wts).sum(axis=0)
+            assert np.array_equal(table(states).view(np.int64), expected.view(np.int64))
+            assert np.array_equal(states.view(np.int64), before.view(np.int64))
 
-    def test_cached_weights_read_only(self, large_gossip):
+    def test_table_keeps_nothing_per_call(self, large_gossip):
+        """Calls on four trailing shapes leave the table holding its
+        ``(width, n)`` neighbour indices and weights, and nothing else."""
         table = _NeighbourTable(large_gossip["rand1000"].mixing.w)
         for trailing in SHAPES + ((32,),):
             table(np.ones((table.wts.shape[1], *trailing)))
-        assert set(table.wts_by_shape) == {(10,), (1,), (), (32,)}
-        for trailing, wts in table.wts_by_shape.items():
-            assert wts.shape == table.wts.shape + trailing and wts.flags.c_contiguous
-            with pytest.raises(ValueError):
-                wts[...] = 0.0
+        assert set(vars(table)) == {"idx", "wts"}
 
     def test_concurrent_calls_match_serial(self, large_gossip):
         """Four threads share a fresh ring-400 operator and race to build its
-        lazily built state: the neighbour table and weight layouts at K = 1,
-        Mbar at the default K.  Each result is bitwise the serial one."""
+        lazily built state: the neighbour table at K = 1, Mbar at the default
+        K.  Each result is bitwise the serial one."""
         mixing = large_gossip["ring400"].mixing
         rng = np.random.default_rng(17)
         inputs = [rng.standard_normal((mixing.n, *shape)) for shape in ((10,), (1,), (), (10,))]

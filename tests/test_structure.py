@@ -85,3 +85,52 @@ def test_package_api_is_the_modules_all():
         or getattr(getattr(module, name), "__module__", module.__name__) != module.__name__
     ]
     assert undefined == []
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, statement)`` for each private function, class or constant that
+    a top-level statement of ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _loads(node: ast.AST):
+    """Every name ``node`` reads, as a bare name or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def test_no_dead_private_code():
+    """Every private top-level function, class or constant of a package module
+    is read somewhere in the package outside its own definition: a helper
+    whose last caller is gone goes with it."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    definitions = [
+        (module, name, node)
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+    ]
+    read = {name: 0 for _, name, _ in definitions}
+    for tree in trees.values():
+        for name in _loads(tree):
+            if name in read:
+                read[name] += 1
+    # a definition's reads of its own name (a recursive call) keep nothing alive
+    dead = [
+        f"{module}.{name}"
+        for module, name, node in definitions
+        if read[name] == sum(load == name for load in _loads(node))
+    ]
+    assert dead == []
