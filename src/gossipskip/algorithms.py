@@ -389,10 +389,8 @@ def contraction_factor(alpha: float, p: float, mu: float, lsmooth: float) -> flo
 
 @dataclass(frozen=True)
 class ContractionReport:
-    psi: float
     lhs: float
     rhs: float
-    zeta: float
     ok: bool
 
 
@@ -420,7 +418,7 @@ def check_contraction(
     ) * lyapunov(branch0, xs_stack, ystar, gossip, cfg)
     zeta = contraction_factor(cfg.alpha, cfg.p, problem.mu, problem.L)
     rhs = zeta * psi_now + 1e-9 * max(1.0, psi_now)
-    return ContractionReport(psi=psi_now, lhs=lhs, rhs=rhs, zeta=zeta, ok=bool(lhs <= rhs))
+    return ContractionReport(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,11 @@ _GATHER_COST_PER_ROW = 100
 # (width 11) 4.0.  Those put the factor between 1.1 and 3.3 (the dense cache
 # jump again); 2 keeps every misjudged call within 2x of the faster kernel.
 # The cap applies only from the crossover up, where W is sparse: it keeps
-# Mbar at 2 MiB, and its build (0.03 s at ring-400, 0.17 s at ring-800)
-# within a few dozen calls' saving.  Below the crossover a dense W already
-# holds n^2 doubles.  Both constants were fitted before the build gathered
-# only reached rows; refitting them to the cheaper build would move kernels,
-# and so outputs, above n = 512.
+# Mbar at 2 MiB, and its build (0.02-0.03 s at ring-400, 0.1 s at ring-800,
+# process CPU time) within a few dozen calls' saving.  Below the crossover a
+# dense W already holds n^2 doubles.  Both constants were fitted before the
+# build gathered only reached rows; refitting them to the cheaper build would
+# move kernels, and so outputs, above n = 512.
 _FOLD_COST_PER_NODE = 2
 _FOLD_MAX_NODES = 512
 
@@ -431,9 +431,7 @@ def _reach_rounds(idx: np.ndarray, wts: np.ndarray, reach: np.ndarray, h: int, e
 class Prop1Report:
     """Measured multi-round spectral quantities vs their claimed envelopes."""
 
-    rho: float
     K: int
-    eta: float
     symmetric: bool
     doubly_stochastic: bool
     radius: float
@@ -441,15 +439,6 @@ class Prop1Report:
     radius_bound_ok: bool
     sigma_min: float
     sigma_min_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.symmetric
-            and self.doubly_stochastic
-            and self.radius_bound_ok
-            and self.sigma_min_ok
-        )
 
 
 def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
@@ -466,20 +455,17 @@ def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
     code gates on the measured ``sigma_min``.
     """
     mbar = op.mbar
-    rho = op.mixing.rho
     symmetric = bool(np.abs(mbar - mbar.T).max() <= 1e-12)
     doubly_stochastic = bool(np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-9)
     # ascending; the largest is the consensus eigenvalue 1, which centring removes
     off = op.spectrum[:-1]
     radius = float(np.abs(off).max(initial=0.0))
-    radius_bound = math.sqrt(2.0) * (1.0 - math.sqrt(1.0 - rho)) ** op.K
+    radius_bound = math.sqrt(2.0) * (1.0 - math.sqrt(1.0 - op.mixing.rho)) ** op.K
     # n == 1 has no nonzero eigenvalues at all; the check is vacuous then
     sigma_min = float((1.0 - off).min()) if off.size else float("nan")
     sigma_min_ok = bool(off.size == 0 or sigma_min >= 0.4)
     return Prop1Report(
-        rho=rho,
         K=op.K,
-        eta=op.eta,
         symmetric=symmetric,
         doubly_stochastic=doubly_stochastic,
         radius=radius,

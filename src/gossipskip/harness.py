@@ -119,17 +119,19 @@ def _choice(label: str, options: tuple[str, ...], text: str) -> str:
     return text
 
 
-def _rule(label: str, names: tuple[str, ...], fixed: str, valid, text: str) -> str:
-    """``text`` when it is one of ``names`` or ``fixed:<value>`` with ``valid(value)`` true."""
+def _rule(label: str, names: tuple[str, ...], fixed: str, cast, valid, text: str) -> str:
+    """``text`` when it is one of ``names``; ``fixed:<value>`` with ``valid(cast(value))``
+    true as ``fixed:{cast(value)!r}``, so one value has one text however it is spelled."""
+    if text in names:
+        return text
     prefix, _, value = text.partition(":")
     try:
-        ok = text in names or (prefix == "fixed" and valid(value))
+        if prefix == "fixed" and valid(number := cast(value)):
+            return f"fixed:{number!r}"
     except ValueError:
-        ok = False
-    if not ok:
-        expects = f"{', '.join(names)} or fixed:<{fixed}>"
-        raise ValueError(f"unknown {label} rule {text!r}; expected {expects}")
-    return text
+        pass
+    expects = f"{', '.join(names)} or fixed:<{fixed}>"
+    raise ValueError(f"unknown {label} rule {text!r}; expected {expects}")
 
 
 def _probability(p: float) -> float:
@@ -169,9 +171,9 @@ _PROBLEM_KIND = partial(_choice, "problem kind", ("least_squares", "logistic", "
 _ALG_KIND = partial(_choice, "algorithm kind", ("mg_skip", "skip1", _ENGINE_KIND))
 _KAPPA_RULE = partial(_choice, "kappa rule", ("half_over_gap",))
 _ALPHA_RULE = partial(
-    _rule, "alpha", ("one_over_5L", "one_over_L"), "float > 0", lambda v: 0.0 < float(v) < math.inf
+    _rule, "alpha", ("one_over_5L", "one_over_L"), "float > 0", float, lambda v: 0.0 < v < math.inf
 )
-_K_RULE = partial(_rule, "K", ("default",), "int >= 1", lambda v: int(v) >= 1)
+_K_RULE = partial(_rule, "K", ("default",), "int >= 1", int, lambda v: v >= 1)
 
 # Every config key: section ("alg" stands for each "alg.<i>"), the kinds that
 # read it (None: all), reader, and default (None: absent unless set; an absent
@@ -228,11 +230,12 @@ class AlgorithmSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # the config readers, so a spec built in code is checked as a config row is
+        # the config readers, so a spec built in code is checked as a config row is;
+        # a fixed rule keeps its canonical text, so two spellings of one value are equal
         _ALG_KIND(self.kind)
         _probability(self.p)
-        _ALPHA_RULE(self.alpha_rule)
-        _K_RULE(self.k_rule)
+        object.__setattr__(self, "alpha_rule", _ALPHA_RULE(self.alpha_rule))
+        object.__setattr__(self, "k_rule", _K_RULE(self.k_rule))
         _file_name(self.name)
         if not self.name:
             label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"

@@ -375,9 +375,9 @@ def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, n
     Raises
     ------
     ValueError
-        On malformed lines or non-finite feature values (reported with
-        their line number), labels outside the supported sets, or an
-        empty file.
+        On malformed lines, non-finite feature values or a feature index
+        repeated within a line (reported with their line number), labels
+        outside the supported sets, or an empty file.
     """
     rows: list[dict[int, float]] = []
     labels: list[float] = []
@@ -404,6 +404,8 @@ def load_libsvm(path: str | Path, n: int, seed: int) -> list[tuple[np.ndarray, n
                     raise ValueError(f"line {lineno}: bad feature {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
+                if idx in entries:
+                    raise ValueError(f"line {lineno}: repeated feature index {idx}")
                 entries[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(entries)

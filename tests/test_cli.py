@@ -5,13 +5,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import gossipskip
 import gossipskip.cli as cli
-from gossipskip import harness
+from gossipskip import ContractionReport, MultiGossipOperator, Prop1Report, harness
 from gossipskip.cli import main
 
 RING15_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ring15.cfg"
@@ -218,6 +219,66 @@ class TestVerify:
         assert "fixed point is stationary     PASS" in out
         assert "fast_goss == dense (I-Mbar)Z  PASS" in out
 
+    def test_default_k_first_row_checks_prop1_on_its_own_operator(self, capsys, monkeypatch):
+        """A default-K mg_skip first row is Proposition 1's operator: one operator
+        is built at the default K, and the radius row and the steps both use it."""
+        built, checked, stepped = [], [], []
+        from_mixing = MultiGossipOperator.from_mixing.__func__
+        prop1, step = cli.verify_prop1, cli.mg_skip_step
+
+        def counted(cls, mixing, K=None):
+            built.append(K)
+            return from_mixing(cls, mixing, K)
+
+        def recorded(state, problem, gossip, *rest, **kw):
+            stepped.append(gossip)
+            return step(state, problem, gossip, *rest, **kw)
+
+        monkeypatch.setattr(MultiGossipOperator, "from_mixing", classmethod(counted))
+        monkeypatch.setattr(cli, "verify_prop1", lambda op: checked.append(op) or prop1(op))
+        monkeypatch.setattr(cli, "mg_skip_step", recorded)
+        assert main(["verify", "--config", str(RING15_CONFIG), "--steps", "3"]) == 1
+        assert built == [None]
+        assert len(checked) == 1 and len(stepped) == 4  # the stationarity step, then 3
+        assert all(op is checked[0] for op in stepped)
+        assert "(K=4)" in next(line for line in capsys.readouterr().out.splitlines() if "radius" in line)
+
+    def test_skip1_first_row_rows_and_default_k(self, tmp_path, capsys):
+        """A skip1 first row gossips once, so Proposition 1 is checked on a default-K
+        operator of its own; verify prints no row for what MixingMatrix refuses."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            RING15_CONFIG.read_text()
+            .replace("alg.0.kind = mg_skip", "alg.0.kind = skip1")
+            .replace("alg.2.p = 1.0", "alg.2.p = 0.5")
+            .replace("summary.baseline = mg_skip_p1", "summary.baseline = skip1_p1")
+        )
+        assert main(["verify", "--config", str(config), "--steps", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition("  ")[0] for line in lines[:-1]] == [
+            "reference x* certified",
+            "multi-round radius envelope",
+            "sigma_min(I-Mbar) >= 2/5",
+            "fast_goss == dense (I-Mbar)Z",
+            "fixed-point residual at x*",
+            "fixed point is stationary",
+        ]
+        assert lines[1].endswith("(K=4)") and lines[-1] == "5/6 checks passed"
+
+    def test_report_fields_are_the_ones_read(self):
+        assert [f.name for f in fields(Prop1Report)] == [
+            "K",
+            "symmetric",
+            "doubly_stochastic",
+            "radius",
+            "radius_bound",
+            "radius_bound_ok",
+            "sigma_min",
+            "sigma_min_ok",
+        ]
+        assert not hasattr(Prop1Report, "all_ok")
+        assert [f.name for f in fields(ContractionReport)] == ["lhs", "rhs", "ok"]
+
     def test_reports_reference_certificate(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text(COMPLETE_GRAPH_CONFIG.replace("run.tol = 0.0", "run.tol = 1e-7"))
@@ -253,7 +314,7 @@ class TestVerify:
         config.write_text(COMPLETE_GRAPH_CONFIG)
         assert main(["verify", "--config", str(config), "--steps", "0"]) == 0
         out = capsys.readouterr().out
-        assert "contraction" not in out and out.endswith("9/9 checks passed\n")
+        assert "contraction" not in out and out.endswith("6/6 checks passed\n")
 
     def test_one_step_reports_contraction_row(self, capsys):
         main(["verify", "--config", str(RING15_CONFIG), "--steps", "1"])
@@ -518,6 +579,39 @@ class TestSweep:
             "'mg_skip_p1'\n"
         )
         assert captured.out == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("alg.0.alpha = fixed:0.02", "alg.1.alpha = fixed:0.020"),
+            ("alg.0.alpha = fixed:0.02", "alg.1.alpha = fixed:2e-2"),
+            ("alg.0.K = fixed:2", "alg.1.K = fixed:02"),
+        ],
+    )
+    def test_sweep_collapses_one_fixed_value_spelled_twice(self, tmp_path, capsys, first, second):
+        """Two rows whose fixed alpha or K is one number spelled two ways run the
+        same stepsize and rounds at each p, so they share its label as equal rows."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG.replace("run.T = 400", "run.T = 10").replace(
+                "alg.0.alpha = one_over_5L\n", ""
+            )
+            + f"{first}\nalg.1.kind = mg_skip\nalg.1.p = 0.2\nalg.1.name = second\n{second}\n"
+        )
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir), "--p", "1"]) == 0
+        assert capsys.readouterr().out.startswith("mg_skip_p1: ")
+        assert sorted(f.name for f in out_dir.glob("*.csv")) == ["mg_skip_p1__seed0.csv", "summary.csv"]
+
+    def test_sweep_refuses_fixed_k_beside_default(self, tmp_path, capsys):
+        """``fixed:1`` is the complete graph's default K, but the rules differ on
+        other graphs, so the rows stay distinct and cannot share a label."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            COMPLETE_GRAPH_CONFIG + "alg.1.kind = mg_skip\nalg.1.K = fixed:1\nalg.1.name = one\n"
+        )
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"), "--p", "1"]) == 2
+        assert "rows 'mg_skip_p0.5' and 'one' differ but share 'mg_skip_p1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["abc", "0", "1.5"])
     def test_bad_p_exit_2(self, tmp_path, capsys, grid):

@@ -478,7 +478,8 @@ class TestVerifyProp1:
         rep = verify_prop1(op)
         assert rep.sigma_min == pytest.approx(1.0, abs=1e-12)
         assert rep.radius <= 1e-12
-        assert rep.all_ok
+        assert rep.symmetric and rep.doubly_stochastic
+        assert rep.radius_bound_ok and rep.sigma_min_ok
 
     def test_ring15_default_k(self, bench):
         rep = verify_prop1(bench.gossip)

@@ -268,6 +268,8 @@ class TestLibsvm:
         [
             ("+1 1:1.0\nyes 2:1.0\n", 1, "line 2: bad label 'yes'"),
             ("+1 1:1.0\n-1 0:1.0\n", 1, "line 2: indices are 1-based, got 0"),
+            # a repeat would keep one of the two values, silently
+            ("+1 1:0.5 1:0.7 2:1\n", 1, "^line 1: repeated feature index 1$"),
             ("+1 1:1.0\n-1 2:1.0\n", 3, "cannot split 2 samples across 3 nodes"),
             # a non-finite feature would make L infinite and the stepsize 0
             *(
@@ -275,7 +277,10 @@ class TestLibsvm:
                 for value in ("nan", "inf", "-inf", "1e400")
             ),
         ],
-        ids=["bad-label", "zero-index", "fewer-samples-than-nodes", "nan", "inf", "-inf", "1e400"],
+        ids=[
+            "bad-label", "zero-index", "repeated-index", "fewer-samples-than-nodes",
+            "nan", "inf", "-inf", "1e400",
+        ],
     )
     def test_rejected(self, tmp_path, text, n, message):
         path = self.write(tmp_path, text)

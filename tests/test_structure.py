@@ -6,6 +6,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import gossipskip
 
 PACKAGE = Path(gossipskip.__file__).resolve().parent
@@ -134,3 +136,52 @@ def test_no_dead_private_code():
         if read[name] == sum(load == name for load in _loads(node))
     ]
     assert dead == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """Each private name ``tree`` imports from a package module, or reads as
+    ``<module>._name`` through a package module it imported."""
+    found, modules = [], set()  # modules: the dotted names bound to package modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if not (source == "gossipskip" or source.startswith((".", "gossipskip."))):
+                continue
+            found += [f"imports {alias.name}" for alias in node.names if _is_private(alias.name)]
+            # ``from . import gossip`` binds a module; ``from .gossip import x`` binds a name
+            if source in (".", "gossipskip"):
+                modules.update(alias.asname or alias.name for alias in node.names if alias.name in LAYERS)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gossipskip."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr) and ast.unparse(node.value) in modules:
+            found.append(f"reads {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .gossip import _chebyshev",
+        "from gossipskip.gossip import MultiGossipOperator, _MBAR_BLOCK",
+        "from . import gossip\ngossip._chebyshev",
+        "from gossipskip import gossip as g\ng._MBAR_BLOCK",
+        "import gossipskip.gossip\ngossipskip.gossip._gather",
+        "import gossipskip.gossip as g\ng._gather",
+    ],
+)
+def test_private_read_guard_sees_each_form(source):
+    assert len(_private_reads(ast.parse(source))) == 1
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A private name is its own module's to change: no package module imports
+    one from another, or reads one through another it imported."""
+    reads = {path.stem: _private_reads(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")}
+    assert {module: found for module, found in reads.items() if found} == {}
