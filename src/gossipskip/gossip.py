@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -429,23 +429,37 @@ def _reach_rounds(idx: np.ndarray, wts: np.ndarray, reach: np.ndarray, h: int, e
 
 @dataclass(frozen=True)
 class Prop1Report:
-    """Measured multi-round spectral quantities vs their claimed envelopes."""
+    """Measured multi-round spectral quantities vs their claimed envelopes.
 
+    ``symmetric`` and ``doubly_stochastic`` read the dense ``op.mbar``, so
+    they are computed on first read: a report whose flags are never read
+    builds no ``Mbar`` that the operator's own kernel does not.
+    """
+
+    op: MultiGossipOperator = field(repr=False, compare=False)
     K: int
-    symmetric: bool
-    doubly_stochastic: bool
     radius: float
     radius_bound: float
     radius_bound_ok: bool
     sigma_min: float
     sigma_min_ok: bool
 
+    @cached_property
+    def symmetric(self) -> bool:
+        mbar = self.op.mbar
+        return bool(np.abs(mbar - mbar.T).max() <= 1e-12)
+
+    @cached_property
+    def doubly_stochastic(self) -> bool:
+        return bool(np.abs(self.op.mbar.sum(axis=1) - 1.0).max() <= 1e-9)
+
 
 def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
     """Check the multi-round operator against its claimed spectral envelopes.
 
     Reports (never raises): symmetry and double stochasticity of the
-    dense ``Mbar``; the measured radius ``max|eig(Mbar - 11^T/n)|`` against
+    dense ``Mbar``, computed when first read; the measured radius
+    ``max|eig(Mbar - 11^T/n)|`` against
     ``sqrt(2) (1 - sqrt(1-rho))^K + 1e-9``; and the smallest nonzero
     eigenvalue of ``I - Mbar`` against ``2/5``.  Both eigenvalue
     quantities come from :attr:`MultiGossipOperator.spectrum`, the source
@@ -454,9 +468,6 @@ def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
     there the envelopes can fail (see module docstring); downstream
     code gates on the measured ``sigma_min``.
     """
-    mbar = op.mbar
-    symmetric = bool(np.abs(mbar - mbar.T).max() <= 1e-12)
-    doubly_stochastic = bool(np.abs(mbar.sum(axis=1) - 1.0).max() <= 1e-9)
     # ascending; the largest is the consensus eigenvalue 1, which centring removes
     off = op.spectrum[:-1]
     radius = float(np.abs(off).max(initial=0.0))
@@ -465,9 +476,8 @@ def verify_prop1(op: MultiGossipOperator) -> Prop1Report:
     sigma_min = float((1.0 - off).min()) if off.size else float("nan")
     sigma_min_ok = bool(off.size == 0 or sigma_min >= 0.4)
     return Prop1Report(
+        op=op,
         K=op.K,
-        symmetric=symmetric,
-        doubly_stochastic=doubly_stochastic,
         radius=radius,
         radius_bound=radius_bound,
         radius_bound_ok=bool(radius <= radius_bound + 1e-9),

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -444,21 +445,25 @@ def write_trace_csv(path: Path, name: str, seed: int, result: RunResult) -> None
     Floats are written as ``repr`` (exact round trip); ``psi`` is empty
     where it is NaN.
     """
-    k = result.iterations
+    # the writer's own dialect quotes the name as in a full row; the rest is numbers
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow([name, seed])
+    prefix = head.getvalue()[:-1]
     rows = zip(
-        [name] * k,
-        [seed] * k,
         result.ts.tolist(),
         result.thetas.tolist(),
         result.comm_rounds.tolist(),
         result.grad_evals.tolist(),
-        map(repr, result.rel_err.tolist()),
+        result.rel_err.tolist(),
         ["" if math.isnan(v) else repr(v) for v in result.psi.tolist()],
     )
+    body = "".join(
+        f"{prefix},{t},{theta},{comm},{grads},{err!r},{psi}\n"
+        for t, theta, comm, grads, err, psi in rows
+    )
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(TRACE_COLUMNS)
+        fh.write(body)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path, config_text: str = "") -> dict:

@@ -17,7 +17,9 @@ node.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +46,13 @@ __all__ = [
 _LS_STREAM = 0x15
 _LOGISTIC_STREAM = 0x10C
 _PARTITION_STREAM = 0x9A7
+
+# centralized_solve hands FISTA's iterate to Newton once its certified bound
+# is this small relative to the iterate, for at most this many steps
+_POLISH_AT = 1e-4
+_POLISH_STEPS = 6
+# above this many nonzeros there is no polish, so its |S|^2 Hessian stays under 8 MB
+_POLISH_MAX_SUPPORT = 1000
 
 
 @dataclass(frozen=True)
@@ -168,6 +177,19 @@ class _QuadraticStack:
     def average(self, x: np.ndarray) -> np.ndarray:
         return self.mean_gram @ x - self.mean_atb
 
+    def support_hessian(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """The averaged loss's Hessian on the ``support`` rows and columns (constant in ``x``)."""
+        return self.mean_gram[np.ix_(support, support)]
+
+
+def _sigmoid_of_minus(margins: np.ndarray) -> np.ndarray:
+    """``sigmoid(-m) = 0.5 (1 + tanh(-m/2))``, in place on ``margins``, which it returns."""
+    margins *= -0.5
+    np.tanh(margins, out=margins)
+    margins += 1.0
+    margins *= 0.5
+    return margins
+
 
 class _LogisticStack:
     """Every node's logistic gradient from zero-padded, label-signed samples.
@@ -178,23 +200,28 @@ class _LogisticStack:
     with every rounding.  Node ``i``'s ``m_i`` samples fill the first rows
     of its block and the rest are zero.  A zero row adds exactly 0 to the
     gradient, so unequal partitions are exact.
+
+    At a single point, ``flat`` views every block as one ``(n * m_max, d)``
+    matrix and ``row_weights`` gives each of its rows ``1 / (n * m_i)``, so
+    the averaged gradient and the support Hessian are plain products.
     """
 
     def __init__(self, losses: tuple) -> None:
+        n, d = len(losses), losses[0].dim
         self.counts = np.array([[len(f.labels)] for f in losses])
         m_max = int(self.counts.max())
-        self.signed = np.zeros((len(losses), m_max, losses[0].dim))
+        self.signed = np.zeros((n, m_max, d))
         for i, f in enumerate(losses):
             np.multiply(f.features, f.labels[:, None], out=self.signed[i, : len(f.labels)])
         self.two_gamma1 = np.array([[2.0 * f.gamma1] for f in losses])
+        self.flat = self.signed.reshape(n * m_max, d)
+        self.row_weights = np.repeat(1.0 / (n * self.counts[:, 0]), m_max)
+        self.mean_two_gamma1 = float(self.two_gamma1.mean())
 
     def gradients(self, x_stack: np.ndarray) -> np.ndarray:
         sig = np.matmul(self.signed, x_stack[:, :, None])[:, :, 0]
-        # the same tanh form of sigmoid(-margin) as LogisticLoss.gradient, in place
-        sig *= -0.5
-        np.tanh(sig, out=sig)
-        sig += 1.0
-        sig *= 0.5
+        # the same tanh form of sigmoid(-margin) as LogisticLoss.gradient
+        _sigmoid_of_minus(sig)
         sums = np.matmul(sig[:, None, :], self.signed)[:, 0, :]
         sums /= self.counts
         # -(sums) + r is r - sums exactly
@@ -203,8 +230,24 @@ class _LogisticStack:
         return g
 
     def average(self, x: np.ndarray) -> np.ndarray:
-        x_stack = np.broadcast_to(x, (len(self.signed), x.size))
-        return self.gradients(x_stack).mean(axis=0)
+        sig = _sigmoid_of_minus(self.flat @ x)
+        sig *= self.row_weights
+        g = self.mean_two_gamma1 * x
+        g -= sig @ self.flat
+        return g
+
+    def support_hessian(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """``F_S^T diag(w s (1 - s)) F_S + mean(2 gamma1) I``: ``F_S`` the ``support``
+        columns, ``s`` the sigmoid of the margins and ``w`` the row weights."""
+        sig = _sigmoid_of_minus(self.flat @ x)
+        sig *= 1.0 - sig
+        sig *= self.row_weights
+        # one copy of the columns, scaled by sqrt(w s (1 - s)); C^T C is exactly symmetric
+        cols = self.flat[:, support]
+        cols *= np.sqrt(sig)[:, None]
+        h = cols.T @ cols
+        h.flat[:: support.size + 1] += self.mean_two_gamma1
+        return h
 
 
 @dataclass(frozen=True)
@@ -497,6 +540,18 @@ def centralized_solve(
     step moved against the gradient mapping.  That takes O(sqrt(kappa) log(1/tol)) iterations,
     each one ``gradient_average`` call.
 
+    Two phases.  Once FISTA's bound first falls to ``1e-4`` times its
+    iterate's norm, the iterate's support ``S`` has usually settled, and on
+    it, with the signs held, ``F`` is smooth and strongly convex: up to 6
+    Newton steps on ``S`` (proximal Newton; Lee, Sun & Saunders 2014,
+    arXiv:1206.1623), each with the stack's support Hessian, which never
+    forms the full ``d x d`` matrix, finish it.  Each step's ``T(v)`` goes
+    through the same certificate as FISTA's.  If none certifies, FISTA
+    resumes from its own untouched state, so a failed polish costs at most
+    6 steps and returns FISTA's own answer.  A support of more than 1,000
+    entries, or a problem with no stacked kernel, gets no polish.
+    ``iterations`` counts FISTA steps plus Newton steps.
+
     The certificate.  ``f`` is ``mu``-strongly convex and ``L``-smooth.  Let
     ``T(v) = prox_{r/L}(v - grad f(v)/L)`` and ``G(v) = L (v - T(v))``.  The
     proximal gradient inequality at ``x = x*``, where
@@ -510,7 +565,7 @@ def centralized_solve(
 
         ||T(v) - x*|| <= ||v - x*|| <= 2 (L/mu) ||v - T(v)||.
 
-    FISTA returns ``T(v)`` with ``error_bound = 2 (L/mu) ||v - T(v)||`` and
+    Either phase returns ``T(v)`` with ``error_bound = 2 (L/mu) ||v - T(v)||`` and
     ``residual = ||v - T(v)||`` once the bound is at most
     ``tol * ||T(v)||``, so ``tol`` is a certified relative error (an
     absolute one when ``x* = 0``).  The direct solve's ``x`` has the smooth
@@ -523,7 +578,7 @@ def centralized_solve(
     ValueError
         If ``tol`` is not positive.
     CentralizedSolveError
-        If the bound is not certified within ``max_iter`` iterations, or by
+        If the bound is not certified within ``max_iter`` FISTA iterations, or by
         the direct solve; the iterate with the smallest bound rides on the
         error.
     """
@@ -545,17 +600,26 @@ def centralized_solve(
     x = y = np.zeros(problem.dim)
     t = 1.0
     best = (math.inf, x, math.inf)
+    polish = stack is not None
+    newton = 0
     for it in range(1, max_iter + 1):
         x_next = problem.reg.prox(alpha, y - alpha * problem.gradient_average(y))
         step = y - x_next
         residual = math.sqrt(step.dot(step))
-        bound = scale * residual
-        if bound <= tol * math.sqrt(x_next.dot(x_next)):
-            return ReferenceSolution(
-                xstar=x_next, residual=residual, iterations=it, error_bound=bound
-            )
-        if bound < best[0]:
-            best = (bound, x_next, residual)
+        candidates = [(x_next, residual)]
+        if polish and scale * residual <= _POLISH_AT * math.sqrt(x_next.dot(x_next)):
+            polish = False
+            candidates = itertools.chain(candidates, _newton_polish(problem, x_next))
+        # FISTA's T(y) first, then each Newton step's T(v), under one certificate
+        for k, (v, residual) in enumerate(candidates):
+            bound = scale * residual
+            if bound <= tol * math.sqrt(v.dot(v)):
+                return ReferenceSolution(
+                    xstar=v, residual=residual, iterations=it + newton + k, error_bound=bound
+                )
+            if bound < best[0]:
+                best = (bound, v, residual)
+        newton += k
         move = x_next - x
         if step.dot(move) > 0.0:
             # the step went uphill on the gradient mapping: restart the momentum
@@ -568,5 +632,34 @@ def centralized_solve(
     bound, x, residual = best
     raise CentralizedSolveError(
         f"no certified relative error {tol} within {max_iter} iterations",
-        ReferenceSolution(xstar=x, residual=residual, iterations=max_iter, error_bound=bound),
+        ReferenceSolution(
+            xstar=x, residual=residual, iterations=max_iter + newton, error_bound=bound
+        ),
     )
+
+
+def _newton_polish(
+    problem: ProblemInstance, x: np.ndarray
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Newton steps on the support ``S`` of ``x``, yielding each step's ``(T(v), ||v - T(v)||)``.
+
+    With ``v`` zero off ``S`` and the signs of ``v_S`` held at those of
+    ``x_S``, ``F`` is the smooth ``f(v) + weight * sign(x_S) . v_S``, so each
+    step is ``v_S -= H_SS^{-1} (grad f(v)_S + weight * sign(x_S))`` with the
+    stack's support Hessian ``H_SS``.  ``x`` is not modified.  Yields nothing
+    when ``S`` has more than ``_POLISH_MAX_SUPPORT`` entries.
+    """
+    support = np.flatnonzero(x)
+    if support.size > _POLISH_MAX_SUPPORT:
+        return
+    alpha = 1.0 / problem.L
+    signs = problem.reg.weight * np.sign(x[support])
+    v = x.copy()
+    grad = problem.gradient_average(v)
+    for _ in range(_POLISH_STEPS):
+        hessian = problem._stack.support_hessian(v, support)
+        v[support] -= np.linalg.solve(hessian, grad[support] + signs)
+        grad = problem.gradient_average(v)
+        tv = problem.reg.prox(alpha, v - alpha * grad)
+        step = v - tv
+        yield tv, math.sqrt(step.dot(step))

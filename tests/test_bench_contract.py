@@ -1,5 +1,6 @@
 """The benchmark's hook points and coverage: every callable ``bench/spans.py``
-patches by name exists, and each workload runs the gossip path it is there for."""
+patches by name exists, and each workload runs the gossip path and the
+reference solve it is there for."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from gossipskip import metropolis_weights, parse_config
+from gossipskip import metropolis_weights, parse_config, problems
 from gossipskip.gossip import _NeighbourTable, _block_hops
-from gossipskip.harness import build_gossip, build_graph
+from gossipskip.harness import build_gossip, build_graph, setup_experiment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -66,3 +67,24 @@ def test_ring400_gossip_folds_with_the_reach_build():
     hops = _block_hops(_NeighbourTable(op.mixing.w).idx, op.n, h)
     assert hops.shape[1] == 13
     assert (hops > h).any(axis=0).tolist() == [True] * 13
+
+
+@pytest.mark.parametrize(
+    "name, polished", [("ring15-sweep", False), ("ring400-gossip", False), ("logistic-random", True)]
+)
+def test_reference_takes_its_path(monkeypatch, name, polished):
+    """The least-squares workloads' references are the direct solve; the
+    logistic one is FISTA handing over to the Newton polish, which certifies
+    to 1e-14 in at most 60 steps."""
+    polishes = []
+    newton_polish = problems._newton_polish
+    monkeypatch.setattr(
+        problems, "_newton_polish", lambda *args: polishes.append(args) or newton_polish(*args)
+    )
+    *_, reference = setup_experiment(parse_config(WORKLOADS[name].config_text(0)), {})
+    assert len(polishes) == polished
+    if polished:
+        assert 0 < reference.iterations <= 60
+        assert reference.relative_error_bound <= 1e-14
+    else:
+        assert reference.iterations == 0

@@ -267,9 +267,8 @@ class TestVerify:
 
     def test_report_fields_are_the_ones_read(self):
         assert [f.name for f in fields(Prop1Report)] == [
+            "op",
             "K",
-            "symmetric",
-            "doubly_stochastic",
             "radius",
             "radius_bound",
             "radius_bound_ok",

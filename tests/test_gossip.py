@@ -494,6 +494,18 @@ class TestVerifyProp1:
         assert rep.sigma_min < 0.4
         assert rep.radius_bound_ok  # bound is loose at K = 1 here
 
+    def test_spectral_fields_build_no_mbar(self):
+        """Above 512 nodes the ring's operator gathers, so the run builds no
+        Mbar, and neither does reading the report's spectral fields; only the
+        symmetry and row-sum flags build it, on first read."""
+        op = MultiGossipOperator.from_mixing(metropolis_weights(build_ring(520)))
+        assert op.kernel == "neighbour"
+        rep = verify_prop1(op)
+        assert rep.radius > 0.0 and rep.sigma_min > 0.0
+        assert op.mbar_seconds is None
+        assert rep.symmetric and rep.doubly_stochastic
+        assert op.mbar_seconds is not None
+
     def test_reports_never_raise(self, gossip_matrix):
         for label, op in gossip_matrix[:6]:
             rep = verify_prop1(op)

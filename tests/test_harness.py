@@ -830,6 +830,26 @@ class TestTraceCsv:
             assert cell == "" or float(cell) == value
         assert all(cell != "" for cell in columns["psi"]) == diagnostics
 
+    @pytest.mark.parametrize(
+        "name, diagnostics", [('a,"b"', False), ("mg_skip_p0.5", True), ("x y\nz", True)]
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, bench, name, diagnostics):
+        cfg = RunConfig(alpha=bench.alpha, p=0.5, T=40, tol=0.0, seed=3)
+        result = mg_skip_run(
+            bench.problem, bench.gossip, cfg, bench.reference, diagnostics=diagnostics
+        )
+        assert np.isfinite(result.psi).all() == diagnostics
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, name, 3, result)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        columns = (result.thetas, result.comm_rounds, result.rel_err, result.psi)
+        for k, (theta, comm, err, psi) in enumerate(zip(*(c.tolist() for c in columns))):
+            cell = "" if math.isnan(psi) else repr(psi)
+            writer.writerow([name, 3, k, theta, comm, k + 1, repr(err), cell])
+        assert path.read_bytes() == want.getvalue().encode()
+
 
 class TestBuilders:
     def test_build_graph_random(self):
