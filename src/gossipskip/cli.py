@@ -150,13 +150,15 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str)
             raise ValueError("empty p grid")
         # an empty name relabels each variant; AlgorithmSpec checks p is in (0, 1]
         variants = [(alg, replace(alg, p=p, name="")) for alg in spec.algorithms for p in p_values]
-        # a label holds p, but for the engine, which reads none: variants sharing a
-        # label collapse when every other setting agrees, and are refused otherwise
+        # variants sharing a label collapse when equal, and are refused otherwise
         expanded: dict = {}  # label -> (config row, its variant)
         for row, variant in variants:
             first, kept = expanded.setdefault(variant.name, (row, variant))
-            if replace(kept, p=variant.p) != variant:
-                raise ValueError(f"rows {first.name!r} and {row.name!r} differ but share {variant.name!r}")
+            if kept != variant:
+                pair = f"rows {first.name!r} and {row.name!r}"
+                if kept.p != variant.p:
+                    pair = f"p = {kept.p!r} and {variant.p!r}"
+                raise ValueError(f"{pair} differ but share {variant.name!r}")
     except ValueError as err:
         raise ValueError(f"--p {args.p!r}: {err}") from None
     sweep_spec = replace(spec, algorithms=tuple(v for _, v in expanded.values()), baseline="")

@@ -216,6 +216,8 @@ _DEFAULT_KIND = {section: default for section, field, _, _, default in _KEYS if 
 # a least-squares problem takes its curvature from at most one of these;
 # kappa's default applies only when none is set
 _CURVATURE = ("lsmooth", "kappa_rule", "kappa")
+# the algorithm kinds that read p
+_P_KINDS = next(kinds for section, field, kinds, _, _ in _KEYS if (section, field) == ("alg", "p"))
 # the AlgorithmSpec field each "alg.<i>" key sets, where the names differ
 _ALG_FIELDS = {"alpha": "alpha_rule", "K": "k_rule"}
 
@@ -235,11 +237,14 @@ class AlgorithmSpec:
         # a fixed rule keeps its canonical text, so two spellings of one value are equal
         _ALG_KIND(self.kind)
         _probability(self.p)
+        if self.kind not in _P_KINDS:
+            # p means nothing to this kind, so no two p values tell its rows apart
+            object.__setattr__(self, "p", AlgorithmSpec.p)
         object.__setattr__(self, "alpha_rule", _ALPHA_RULE(self.alpha_rule))
         object.__setattr__(self, "k_rule", _K_RULE(self.k_rule))
         _file_name(self.name)
         if not self.name:
-            label = self.kind if self.kind == _ENGINE_KIND else f"{self.kind}_p{self.p:g}"
+            label = f"{self.kind}_p{self.p:g}" if self.kind in _P_KINDS else self.kind
             object.__setattr__(self, "name", label)
 
     def resolve_alpha(self, lsmooth: float) -> float:

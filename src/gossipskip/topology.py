@@ -9,7 +9,7 @@ skipping-probability rules) keys off ``rho``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,47 +27,42 @@ __all__ = [
 _GRAPH_STREAM = 0x707
 
 
-def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    out = set()
-    for i, j in edges:
-        if i == j:
-            raise ValueError(f"self-loop ({i},{i}) is not allowed")
-        a, b = (int(i), int(j)) if i < j else (int(j), int(i))
-        out.add((a, b))
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected connected graph on nodes ``0..n-1``.
 
     Edges are stored canonically as sorted ``(i, j)`` pairs with
-    ``i < j``; duplicates collapse and self-loops are rejected.
-    Construction fails for disconnected graphs.
+    ``i < j``; duplicates collapse, and self-loops and non-integer node
+    indices are rejected.  Construction fails for disconnected graphs.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _neighbors: tuple[tuple[int, ...], ...] = field(
-        default=(), repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        edges = _canonical_edges(self.edges)
-        object.__setattr__(self, "edges", edges)
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        object.__setattr__(
-            self, "_neighbors", tuple(tuple(sorted(v)) for v in nbrs)
-        )
+        edges = set()
+        for i, j in self.edges:
+            if int(i) != i or int(j) != j:
+                raise ValueError(f"edge ({i},{j}) has a non-integer node index")
+            if i == j:
+                raise ValueError(f"self-loop ({i},{i}) is not allowed")
+            a, b = (int(i), int(j)) if i < j else (int(j), int(i))
+            if not (0 <= a and b < self.n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            edges.add((a, b))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
         if not self._is_connected():
             raise ValueError("graph is disconnected")
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in self.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(tuple(sorted(v)) for v in nbrs)
 
     def _is_connected(self) -> bool:
         # BFS from node 0
@@ -116,16 +111,15 @@ class MixingMatrix:
     rho: float
 
     @classmethod
-    def from_matrix(cls, w: np.ndarray, graph: Graph | None = None) -> MixingMatrix:
+    def from_matrix(cls, w: np.ndarray) -> MixingMatrix:
         """Validate ``w`` and attach its spectrum.
 
         Raises
         ------
         ValueError
-            If ``w`` is not exactly symmetric, rows do not sum to 1
-            within 1e-12, entries are negative, its sparsity pattern
-            does not respect ``graph``, or the leading eigenvalue is
-            not 1 within 1e-10.
+            If ``w`` is not square or not exactly symmetric, rows do
+            not sum to 1 within 1e-12, entries are negative, or the
+            leading eigenvalue is not 1 within 1e-10.
         """
         w = np.asarray(w, dtype=float)
         n = w.shape[0]
@@ -137,15 +131,6 @@ class MixingMatrix:
             raise ValueError("rows must sum to 1 within 1e-12")
         if w.min() < 0.0:
             raise ValueError("entries must be nonnegative")
-        if graph is not None:
-            if graph.n != n:
-                raise ValueError("graph size does not match matrix")
-            mask = np.zeros((n, n), dtype=bool)
-            for i, j in graph.edges:
-                mask[i, j] = mask[j, i] = True
-            np.fill_diagonal(mask, True)
-            if np.any(w[~mask] != 0.0):
-                raise ValueError("nonzero weight outside the edge set")
         eigenvalues = np.sort(np.linalg.eigvalsh(w))[::-1]
         if abs(eigenvalues[0] - 1.0) > 1e-10:
             raise ValueError("leading eigenvalue must be 1 within 1e-10")
@@ -181,7 +166,8 @@ def build_random_connectivity(n: int, iota: float, seed: int) -> Graph:
     """Random connected graph with exactly ``floor(iota*n*(n-1)/2)`` edges.
 
     A random spanning tree guarantees connectivity; the remaining edges
-    are drawn uniformly among the unused pairs.  Identical
+    are drawn uniformly among the unused pairs, by their rank in the
+    row-major pair order, so no list of all pairs is built.  Identical
     ``(n, iota, seed)`` always produce the identical edge set.
 
     Raises
@@ -198,21 +184,22 @@ def build_random_connectivity(n: int, iota: float, seed: int) -> Graph:
             f"floor(iota*n*(n-1)/2) = {m} edges cannot connect {n} nodes"
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, _GRAPH_STREAM]))
-    edges: set[tuple[int, int]] = set()
     # random spanning tree: attach each node (in random order) to a
     # uniformly chosen earlier node
     order = rng.permutation(n)
-    for k in range(1, n):
-        i = int(order[k])
-        j = int(order[rng.integers(0, k)])
-        edges.add((min(i, j), max(i, j)))
-    remaining = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges
-    ]
-    extra = m - len(edges)
-    for idx in rng.choice(len(remaining), size=extra, replace=False):
-        edges.add(remaining[int(idx)])
-    return Graph(n=n, edges=tuple(edges))
+    tree = [sorted((int(order[k]), int(order[rng.integers(0, k)]))) for k in range(1, n)]
+    # pair (i, j), i < j, has rank starts[i] + j - i - 1 in row-major order; the
+    # extra edges are a uniform draw of ranks among those the tree leaves free
+    nodes = np.arange(n)
+    starts = nodes * (2 * n - nodes - 1) // 2
+    taken = np.sort([starts[i] + j - i - 1 for i, j in tree])
+    free = rng.choice(n * (n - 1) // 2 - len(tree), size=m - len(tree), replace=False)
+    # free rank number f is f plus the count of tree ranks t_k (k-th smallest)
+    # with t_k - k <= f, as t_k - k free ranks lie below t_k
+    ranks = free + np.searchsorted(taken - np.arange(len(tree)), free, side="right")
+    rows = np.searchsorted(starts, ranks, side="right") - 1
+    extra = zip(rows.tolist(), (ranks - starts[rows] + rows + 1).tolist())
+    return Graph(n=n, edges=(*tree, *extra))
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
@@ -223,12 +210,9 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     positive diagonal, so its spectrum lies in ``(-1, 1]`` with a simple
     leading eigenvalue 1 for connected graphs.
     """
-    n = g.n
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        v = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
-        w[i, j] = v
-        w[j, i] = v
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
-    return MixingMatrix.from_matrix(w, graph=g)
+    i, j = np.array(g.edges, dtype=int).reshape(-1, 2).T
+    degree = np.bincount(np.concatenate((i, j)), minlength=g.n)
+    w = np.zeros((g.n, g.n))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(degree[i], degree[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return MixingMatrix.from_matrix(w)

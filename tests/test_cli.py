@@ -612,6 +612,19 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"), "--p", "1"]) == 2
         assert "rows 'mg_skip_p0.5' and 'one' differ but share 'mg_skip_p1'" in capsys.readouterr().err
 
+    def test_sweep_refuses_p_values_sharing_a_label(self, tmp_path, capsys):
+        """Two p values that print alike would give one label two runs: rather
+        than run only the first, the sweep names the label and both values."""
+        out_dir = tmp_path / "o"
+        grid = "0.3400001,0.3400002"
+        assert main(["sweep", "--config", str(RING15_CONFIG), "--out", str(out_dir), "--p", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: --p '{grid}': p = 0.3400001 and 0.3400002 differ but share "
+            "'mg_skip_p0.34'\n"
+        )
+        assert captured.out == "" and not out_dir.exists()
+
     @pytest.mark.parametrize("grid", ["abc", "0", "1.5"])
     def test_bad_p_exit_2(self, tmp_path, capsys, grid):
         config = tmp_path / "exp.cfg"

@@ -494,6 +494,12 @@ class TestAlgorithmSpec:
         with pytest.raises(ValueError):
             AlgorithmSpec(kind="unknown")
 
+    def test_kind_reading_no_p_keeps_the_default(self):
+        # the engine reads no p, so a p grid gives it one spec, under one label
+        assert AlgorithmSpec(kind="puda_nids", p=0.5) == AlgorithmSpec(kind="puda_nids")
+        assert AlgorithmSpec(kind="puda_nids", p=0.5).name == "puda_nids"
+        assert AlgorithmSpec(kind="skip1", p=0.5).p == 0.5
+
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b"])
     def test_name_that_is_no_file_name_rejected(self, name):
         # the name is the trace file's; the config reader refuses the same names

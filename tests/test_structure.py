@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,20 @@ def test_package_api_is_the_modules_all():
         or getattr(getattr(module, name), "__module__", module.__name__) != module.__name__
     ]
     assert undefined == []
+
+
+def test_no_dataclass_has_a_private_field():
+    """A dataclass's fields are its constructor's arguments: state derived from
+    them is a property, never a private field that a caller could pass."""
+    private = [
+        f"{module}.{cls.__name__}.{field.name}"
+        for module in LAYERS
+        for cls in vars(importlib.import_module(f"gossipskip.{module}")).values()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls) and cls.__module__ == f"gossipskip.{module}"
+        for field in dataclasses.fields(cls)
+        if field.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _private_definitions(tree: ast.Module):

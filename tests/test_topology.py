@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,16 @@ class TestGraph:
     def test_edge_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"edge \(1,3\) out of range for n=3"):
             Graph(n=3, edges=((0, 1), (1, 3)))
+
+    @pytest.mark.parametrize("edge", [(1, 2.5), (1.5, 2), (2.0001, 1)])
+    def test_non_integer_index_rejected(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]},{edge[1]}\) has a non-integer"):
+            Graph(n=3, edges=((0, 1), edge))
+
+    def test_integer_valued_indices_pass(self):
+        g = Graph(n=3, edges=((0, 1.0), (np.int64(2), np.float64(1.0))))
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(i) is int for edge in g.edges for i in edge)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
@@ -163,21 +176,91 @@ class TestMixingValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             MixingMatrix.from_matrix(w)
 
-    def test_sparsity_respects_graph(self):
-        g = build_ring(4)
-        w = np.full((4, 4), 0.25)
-        with pytest.raises(ValueError, match="edge set"):
-            MixingMatrix.from_matrix(w, graph=g)
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
             MixingMatrix.from_matrix(np.full((2, 3), 1.0 / 3.0))
 
-    def test_graph_size_must_match(self):
-        w = metropolis_weights(build_ring(3)).w
-        with pytest.raises(ValueError, match="graph size does not match"):
-            MixingMatrix.from_matrix(w, graph=build_ring(4))
-
     def test_weights_are_immutable(self, ring15_mixing):
         with pytest.raises(ValueError):
             ring15_mixing.w[0, 0] = 2.0
+
+
+def _random_cases(n):
+    for iota in (0.01, 0.05, 0.2, 0.5, 1.0):
+        if int(np.floor(iota * n * (n - 1) / 2)) >= n - 1:
+            yield from (build_random_connectivity(n, iota, seed) for seed in range(4))
+
+
+# SHA-256 over each group's graphs in order, of repr(g.edges) and of
+# metropolis_weights(g).w.tobytes(): the bytes the per-edge Python builders gave
+PINNED_GROUPS = {
+    "rings 3-60, 400, 800": (
+        lambda: (build_ring(n) for n in [*range(3, 61), 400, 800]),
+        "787c3ecfaed3df8273507c3f3d771fde7650d28022856e41aab7aaecf9e97f51",
+        "9c380d87644736696fb71cf5c4064ab97f26ce39a90d0acea7b36560897f664b",
+    ),
+    "random n=5": (
+        lambda: _random_cases(5),
+        "c67312a6cb9bf3f2b402ff887906883ee08349c082817a4cbd3d07b480940c65",
+        "d046bb9228d3d9a422a2fafa54dd6a921eca8e3dab540902346f736848f8c61b",
+    ),
+    "random n=20": (
+        lambda: _random_cases(20),
+        "b45c671f983b1cb827e8c0e594f5da5375a4baa8cdb63a1b98840248c6d199a6",
+        "c612c4f455ef9ae03f66644fa55d4f5f9da0dfd035b46857f0934544bdb042ae",
+    ),
+    "random n=50": (
+        lambda: _random_cases(50),
+        "82132288d330cd41d228bc181af9b3f53a2b8cbca9e4c0882d1929c78080837f",
+        "597880c41d06da9e7f28fc19eafee090c370d7121704facbac7fc20f74c5ab50",
+    ),
+    "random n=120": (
+        lambda: _random_cases(120),
+        "92a1fa685c35fb10901a9fe0cf0807857e7be758ffee49dd251cd69a61e55ce2",
+        "bd22e101a31480d43537b8368265973e4ad810ba3a7cbdeb1caf5f99e0f50ac6",
+    ),
+    "random n=300": (
+        lambda: _random_cases(300),
+        "239ce4ff3f29478f39c66b96094141853f50b3f980df11d27d82062c130edea5",
+        "d96ec95cf44a79b2244b24416476242aa8e4dc5d0d188411edfdc3ae3ff78971",
+    ),
+}
+
+
+class TestPinnedBytes:
+    """Edges and weights are pinned byte for byte: a rebuilt sampler or weight
+    rule must give every ``(n, iota, seed)`` the same graph and ``W``."""
+
+    @pytest.mark.parametrize("group", PINNED_GROUPS)
+    def test_edges_and_weights(self, group):
+        graphs, edges_digest, weights_digest = PINNED_GROUPS[group]
+        edges, weights = hashlib.sha256(), hashlib.sha256()
+        for g in graphs():
+            edges.update(repr(g.edges).encode())
+            weights.update(metropolis_weights(g).w.tobytes())
+        assert (edges.hexdigest(), weights.hexdigest()) == (edges_digest, weights_digest)
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            # few extra edges: rng.choice samples without a full permutation
+            ((1000, 0.01, 3), "1bbf20fbcd4faebcc3d3cac3f6b50b11c1616ab27adbaf63bc29167fcfc31c2c"),
+            # many: rng.choice shuffles every free pair's index
+            ((1000, 0.5, 1), "1a66e35f4b74f4b13a73373fbba57c41b5e16bdeb9ccb3d9adbb1c58828f06d3"),
+            ((2000, 0.001, 0), "95407a0c3aaf700a02d32250b945c995cc9d9131c04aaf598e23395bdaf90749"),
+        ],
+    )
+    def test_large_random_edges(self, case, digest):
+        g = build_random_connectivity(*case)
+        assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+
+    def test_sparse_random_graph_lists_no_pairs(self):
+        """A 2000-node graph with a tree's worth of edges is built without
+        listing its two million node pairs, which as tuples peak near 184 MiB."""
+        tracemalloc.start()
+        try:
+            build_random_connectivity(2000, 0.001, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
