@@ -17,6 +17,7 @@ node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -61,6 +62,8 @@ class QuadraticLoss:
 
     ``mu`` and ``lsmooth`` are the extreme eigenvalues of ``A^T A``,
     passed by the caller, who knows them exactly (pinned constructions).
+    ``A^T A`` and ``A^T b`` are formed on the first ``gradient`` call; a
+    :class:`ProblemInstance` stacks every node's own instead.
     """
 
     a: np.ndarray
@@ -68,14 +71,17 @@ class QuadraticLoss:
     mu: float
     lsmooth: float
 
-    def __post_init__(self) -> None:
-        gram = self.a.T @ self.a
-        object.__setattr__(self, "_gram", gram)
-        object.__setattr__(self, "_atb", self.a.T @ self.b)
-
     @property
     def dim(self) -> int:
         return self.a.shape[1]
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        return self.a.T @ self.a
+
+    @functools.cached_property
+    def _atb(self) -> np.ndarray:
+        return self.a.T @ self.b
 
     def value(self, x: np.ndarray) -> float:
         r = self.a @ x - self.b
@@ -103,7 +109,7 @@ class LogisticLoss:
     def __post_init__(self) -> None:
         if self.gamma1 <= 0.0:
             raise ValueError("gamma1 must be positive for strong convexity")
-        if set(np.unique(self.labels)) - {-1.0, 1.0}:
+        if not (np.abs(self.labels) == 1.0).all():  # NaN fails too
             raise ValueError("labels must be in {-1, +1}")
         m = self.features.shape[0]
         lsmooth = 2.0 * self.gamma1 + float((self.features**2).sum()) / (4.0 * m)
@@ -164,8 +170,9 @@ class _QuadraticStack:
     """Every node's ``A_i^T A_i x_i - A_i^T b_i`` from stacked Gram matrices."""
 
     def __init__(self, losses: tuple) -> None:
-        self.grams = np.stack([f._gram for f in losses])
-        self.atbs = np.stack([f._atb for f in losses])
+        # formed here, not cached on the losses, which never need their own
+        self.grams = np.array([f.a.T @ f.a for f in losses])
+        self.atbs = np.array([f.a.T @ f.b for f in losses])
         self.mean_gram = self.grams.mean(axis=0)
         self.mean_atb = self.atbs.mean(axis=0)
 
@@ -363,18 +370,22 @@ def gen_least_squares(
     if d < 2 and mu != lsmooth:
         raise ValueError("d = 1 forces mu == lsmooth (single singular value)")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _LS_STREAM]))
-    # each node draws its normal matrix, mid eigenvalues and target in turn
+    # each node draws its normal matrix, log mid eigenvalues and target in turn
     normals = np.empty((n, d, d))
-    evals = np.empty((n, d))
+    log_mids = np.empty((n, max(d - 2, 0)))
     b = np.empty((n, d))
+    low, high = np.log(mu), np.log(lsmooth)
     for i in range(n):
-        normals[i] = rng.standard_normal((d, d))
-        if d == 1:
-            evals[i] = lsmooth
-        else:
-            mids = np.exp(rng.uniform(np.log(mu), np.log(lsmooth), d - 2))
-            evals[i] = np.concatenate(([lsmooth], np.sort(mids)[::-1], [mu]))
-        b[i] = rng.standard_normal(d)
+        rng.standard_normal(out=normals[i])
+        if d > 2:
+            log_mids[i] = rng.uniform(low, high, d - 2)
+        rng.standard_normal(out=b[i])
+    # eigenvalues descending: lsmooth, the sorted mids, mu (d = 1 has lsmooth only)
+    evals = np.empty((n, d))
+    evals[:, 0] = lsmooth
+    if d > 1:
+        evals[:, -1] = mu
+        evals[:, 1:-1] = np.sort(np.exp(log_mids), axis=1)[:, ::-1]
     # one batched factorization; each Q_i is the one its own qr call gives
     a = np.linalg.qr(normals)[0]
     a *= np.sqrt(evals)[:, None, :]  # Q @ diag(s), so A^T A = diag(evals)

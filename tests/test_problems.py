@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gossipskip import (
     LogisticLoss,
     ProblemInstance,
     QuadraticLoss,
+    RunConfig,
     build_ring,
     centralized_solve,
     flood_constants,
@@ -22,7 +25,41 @@ from gossipskip import (
     load_libsvm,
     logistic_from_parts,
     metropolis_weights,
+    mg_skip_run,
 )
+
+
+# SHA-256 of gen_least_squares(n, d, ...) over seeds 0-2: each seed's stacked
+# a and b, then its stack's grams and atbs (mu = 0.5, lsmooth = 9, or 2 and 2 at d = 1)
+LS_PINS = {
+    (1, 1): "5fc582583200b825421320db11f55adaaecb551235cfc5b8e7fb1feae6f4f7b3",
+    (1, 2): "94669b3b94990e0b9045c1c19910e424221a34082b90281479ed859790c24d5c",
+    (1, 3): "01ae17256fcc50ee3bd4266c410a43f3b3aca0bc67595656b44fb795a7ebbebe",
+    (1, 10): "8d87f652ee94ef6d18ebec12e2864abb0fae8b5bb94743891eb3be2eef60d064",
+    (1, 22): "9f8410512a85d82108e57473e23a0bc58b9a02843fe07626532587886a79fe84",
+    (2, 1): "ff9ddf5945f294d197a0febcdd3acb9cac13f57d9a2aabd989d80e6c58fb9723",
+    (2, 2): "7d1030d5e0ce00e6424cf3ec0f1c37b52b26457dbb71ea7ad37acd290708df75",
+    (2, 3): "2e789628a121a4990efa433f8ff52e46418f72d99e0449f98b12f99ddb9307fc",
+    (2, 10): "33ea317158023f848c3cb2a0b20c7b818fae12b5e4921763da14bad5533fc03f",
+    (2, 22): "e793fe5cfc0592c6115018372be04ffe700acb8df6c52c2ee6cfffccbfb5b23a",
+    (15, 1): "9f01f84c819a57703d19a29b55e49d3869cd18e0564a845252d7f3dbd1a8cf82",
+    (15, 2): "e9e17462f8aafa889ff4a5c5c8eeda9f67c74bcc4436aaa67c91f44741fba009",
+    (15, 3): "2afc0915243865b9858eababb0fc31fb6e020341b69298f43350316f0b9ef4fb",
+    (15, 10): "4f59e4850394ccecb303c5fb493f9b838693a91511dec696cc9552e825f5c38a",
+    (15, 22): "daa045e38eb6826950e1c936a452fec93f33ff26e9a623714bd6b311dd0ae5a3",
+    (400, 1): "853f2247aae6921351e990d9fa0360c73a613651a716f05846849d8ce5ad55c1",
+    (400, 2): "123a4dae83fd23a9b3215bd8c5ba5b0fc232beefd82bafe7f19f663611eb671b",
+    (400, 3): "15736f41c2a1aacc94e2a57e3eab7b88da9695484e90f7b032a5e703454d866e",
+    (400, 10): "a37837ef81dccd516f8022fa1aa59609570dea837e269ab60c4d59bfaecd2960",
+    (400, 22): "28efd4ff49c1d8da1814df532d610e693a792157668534410fe43355f5bd6925",
+}
+
+# SHA-256 of gen_logistic(n, 22, 100, 0.1, 0.001, ...) over seeds 0-1: each seed's
+# stacked signed samples, counts and two_gamma1
+LOGISTIC_PINS = {
+    1: "b135597698fb631f71ff1d557606363716d024c102fba8e54fcd46261b27f811",
+    20: "cc86c76b5a82a54b3ac166ab1d32c41c431b5b79f35a5d68b798bc67eb684de5",
+}
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -98,6 +135,28 @@ class TestGenLeastSquares:
             assert np.array_equal(loss.a, a) and np.array_equal(loss.b, b)
             assert np.array_equal(loss._gram, a.T @ a) and np.array_equal(loss._atb, a.T @ b)
 
+    @pytest.mark.parametrize("n, d", LS_PINS)
+    def test_pinned_bytes(self, n, d):
+        """A rebuilt generator or stack must keep every draw, matrix and Gram to the bit."""
+        mu, lsmooth = (2.0, 2.0) if d == 1 else (0.5, 9.0)
+        digest = hashlib.sha256()
+        for seed in range(3):
+            p = gen_least_squares(n, d, mu, lsmooth, seed)
+            digest.update(np.stack([f.a for f in p.losses]).tobytes())
+            digest.update(np.stack([f.b for f in p.losses]).tobytes())
+            digest.update(p._stack.grams.tobytes())
+            digest.update(p._stack.atbs.tobytes())
+        assert digest.hexdigest() == LS_PINS[n, d]
+
+    def test_no_per_loss_gram_on_the_hot_path(self, bench):
+        """The reference solve and a run use the stacked Grams only: no loss
+        forms its own."""
+        for reg in (L1Reg(), L1Reg(0.05)):
+            p = gen_least_squares(15, 10, 1.0, bench.kappa, seed=1, reg=reg)
+            ref = centralized_solve(p, tol=1e-13)
+            mg_skip_run(p, bench.gossip, RunConfig(alpha=1.0 / (5.0 * p.L), p=0.5, T=20), ref)
+            assert not any("_gram" in vars(f) or "_atb" in vars(f) for f in p.losses)
+
     def test_moduli_hold_on_sampled_pairs(self):
         p = gen_least_squares(3, 5, 0.8, 6.0, seed=4)
         rng = np.random.default_rng(1)
@@ -130,8 +189,18 @@ class TestLogistic:
         feats = np.ones((2, 3))
         with pytest.raises(ValueError, match="gamma1 must be positive"):
             LogisticLoss(features=feats, labels=np.ones(2), gamma1=0.0)
-        with pytest.raises(ValueError, match="labels must be in"):
-            LogisticLoss(features=feats, labels=np.array([1.0, 0.0]), gamma1=0.1)
+        for labels in ([1.0, 0.0], [-1.0, np.nan]):
+            with pytest.raises(ValueError, match="labels must be in"):
+                LogisticLoss(features=feats, labels=np.array(labels), gamma1=0.1)
+
+    @pytest.mark.parametrize("n", LOGISTIC_PINS)
+    def test_pinned_bytes(self, n):
+        digest = hashlib.sha256()
+        for seed in range(2):
+            stack = gen_logistic(n, 22, 100, gamma1=0.1, gamma2=0.001, seed=seed)._stack
+            for arr in (stack.signed, stack.counts, stack.two_gamma1):
+                digest.update(arr.tobytes())
+        assert digest.hexdigest() == LOGISTIC_PINS[n]
 
     def test_zero_features_reduce_to_ridge(self):
         loss = LogisticLoss(
@@ -551,6 +620,20 @@ class TestProblemInstance:
         grams = np.stack([f._gram for f in p.losses])
         atbs = np.stack([f._atb for f in p.losses])
         assert np.array_equal(p.gradient_stack(xs), np.einsum("nij,nj->ni", grams, xs) - atbs)
+
+    def test_quadratic_stack_takes_unequal_row_counts(self):
+        """Nodes with different sample counts get each one's own Gram and ``A^T b``."""
+        rng = np.random.default_rng(8)
+        losses = []
+        for m in (3, 5, 4):
+            a = rng.standard_normal((m, 3))
+            eigs = np.linalg.eigvalsh(a.T @ a)
+            losses.append(
+                QuadraticLoss(a=a, b=rng.standard_normal(m), mu=eigs[0], lsmooth=eigs[-1])
+            )
+        p = ProblemInstance(losses=tuple(losses), reg=L1Reg(), dim=3)
+        for f, gram, atb in zip(p.losses, p._stack.grams, p._stack.atbs):
+            assert np.array_equal(gram, f.a.T @ f.a) and np.array_equal(atb, f.a.T @ f.b)
 
     def test_signed_logistic_gradient_is_the_unsigned_expression(self):
         """Label-signed samples give the bits of the formula on the raw features
