@@ -77,18 +77,21 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
+        # each check is written to refuse NaN too
+        if not self.alpha > 0.0:
             raise ValueError(f"stepsize must be positive, got {self.alpha}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"communication probability must be in (0, 1], got {self.p}")
         if self.T < 1:
             raise ValueError(f"horizon must be >= 1, got {self.T}")
+        if math.isnan(self.tol):
+            raise ValueError("tolerance must be a number, got nan")
 
 
 def check_stepsize(alpha: float, problem: ProblemInstance) -> None:
     """Refuse ``alpha * L >= 2``: the skipping iteration's limit and NIDS's
     (arXiv:1704.07807), set by the problem alone, not by the network, p or K."""
-    if alpha * problem.L >= 2.0:
+    if not alpha * problem.L < 2.0:
         raise ValueError(f"alpha*L = {alpha * problem.L:.4g} must be < 2")
 
 
@@ -339,7 +342,7 @@ def fixed_point_residual(
     zero by construction at a consensual candidate (``Z`` is consensual and
     that dual has zero mean), so ``gossip`` is not read.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x_stack = np.tile(_as_xstar(x), (problem.n, 1))
     gbar = problem.gradient_stack(x_stack).mean(axis=0)
@@ -527,6 +530,8 @@ def puda_run(
     _check_entry(problem, cfg.gossip, alpha)
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
+    if math.isnan(tol):
+        raise ValueError("tolerance must be a number, got nan")
     zero = np.zeros((problem.n, problem.dim))
     return _run(
         lambda state, theta: puda_step(state, problem, cfg, alpha),

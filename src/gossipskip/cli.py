@@ -1,4 +1,9 @@
-"""Command-line interface: run experiments, verify diagnostics, inspect topologies."""
+"""Command-line interface: run experiments, verify diagnostics, inspect topologies.
+
+Every subcommand reads one experiment config (``--config``); ``topology``
+describes the config's graph.  Every input error is one ``config error:``
+line on stderr and exit code 2.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from .algorithms import (
 )
 from .gossip import MultiGossipOperator, verify_prop1
 from .harness import (
-    GRAPH_KINDS,
     ExperimentSpec,
     build_gossip,
     build_graph,
@@ -34,13 +38,9 @@ from .topology import metropolis_weights
 __all__ = ["main"]
 
 
-def _cmd_topology(args: argparse.Namespace) -> int:
-    # argparse restricts --kind; the builders reject out-of-range --n and --iota
-    try:
-        graph = build_graph(vars(args))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def _cmd_topology(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
+    # the config's graph alone: no problem or reference is built
+    graph = build_graph(spec.graph)
     gossip = MultiGossipOperator.from_mixing(metropolis_weights(graph))
     print(f"n = {graph.n}")
     print(f"edges = {graph.m}")
@@ -75,8 +75,7 @@ def _cmd_run(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -
 
 def _cmd_verify(args: argparse.Namespace, spec: ExperimentSpec, config_text: str) -> int:
     if args.steps < 0:
-        print(f"error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     # the setup checks every row's stepsize, as run does; the checks step the first row
     mixing, problem, alphas, reference = setup_experiment(spec, {})
     first, alpha = spec.algorithms[0], alphas[0]
@@ -167,6 +166,16 @@ def _cmd_sweep(args: argparse.Namespace, spec: ExperimentSpec, config_text: str)
     return 0
 
 
+def _read_config(path: Path) -> str:
+    """The config file's text: one that cannot be read as UTF-8 is a ValueError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ValueError(f"cannot read config {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"config {path} is not UTF-8: {err.reason} at byte {err.start}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gossipskip",
@@ -182,11 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--steps", type=int, default=100)
 
-    p_topo = sub.add_parser("topology", help="print spectral facts for a topology")
-    p_topo.add_argument("--kind", required=True, choices=GRAPH_KINDS)
-    p_topo.add_argument("--n", type=int, required=True)
-    p_topo.add_argument("--iota", type=float, default=0.5)
-    p_topo.add_argument("--seed", type=int, default=0)
+    p_topo = sub.add_parser("topology", help="print spectral facts for a config's graph")
+    p_topo.add_argument("--config", required=True)
 
     p_sweep = sub.add_parser("sweep", help="expand algorithms over a p grid")
     p_sweep.add_argument("--config", required=True)
@@ -194,20 +200,18 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--p", required=True, help="comma-separated p values")
 
     args = parser.parse_args(argv)
-    if args.command == "topology":
-        return _cmd_topology(args)
+    commands = {"run": _cmd_run, "verify": _cmd_verify, "topology": _cmd_topology, "sweep": _cmd_sweep}
     config = Path(args.config)
-    if not config.exists():
-        print(f"config file not found: {config}", file=sys.stderr)
-        return 2
-    config_text = config.read_text()
-    command = {"run": _cmd_run, "verify": _cmd_verify, "sweep": _cmd_sweep}[args.command]
     try:
-        return command(args, parse_config(config_text, base_dir=config.parent), config_text)
+        config_text = _read_config(config)
+        spec = parse_config(config_text, base_dir=config.parent)
+        return commands[args.command](args, spec, config_text)
     except (ValueError, FileNotFoundError) as err:
-        # a bad config value or --p grid, a limit tying two config keys or a
-        # row's stepsize, which the builders check, or an uncertified reference;
-        # a run's own failure is a RuntimeError naming it
+        # every input error: a config file that cannot be read, a bad config
+        # value, a missing LIBSVM file, a bad --steps or --p grid, a limit tying
+        # two config keys or a row's stepsize, which the builders check, or an
+        # uncertified reference; a run's own failure, a RuntimeError naming it
+        # or an OSError writing its outputs, propagates
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -153,9 +153,9 @@ class L1Reg:
 
 def l1_prox(alpha: float, weight: float, y: np.ndarray) -> np.ndarray:
     """Componentwise ``sign(y) * max(|y| - alpha*weight, 0)``."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"prox step must be positive, got {alpha}")
-    if weight < 0.0:
+    if not weight >= 0.0:
         raise ValueError(f"l1 weight must be nonnegative, got {weight}")
     y = np.asarray(y, dtype=float)
     # the expression's operations, on one new array
@@ -593,7 +593,7 @@ def centralized_solve(
         the direct solve; the iterate with the smallest bound rides on the
         error.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     stack = problem._stack
     if isinstance(stack, _QuadraticStack) and problem.reg.weight == 0.0:

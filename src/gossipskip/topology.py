@@ -117,7 +117,7 @@ class MixingMatrix:
         Raises
         ------
         ValueError
-            If ``w`` is not square or not exactly symmetric, rows do
+            If ``w`` is empty, not square or not exactly symmetric, rows do
             not sum to 1 within 1e-12, entries are negative, or the
             leading eigenvalue is not 1 within 1e-10.
         """
@@ -125,6 +125,8 @@ class MixingMatrix:
         n = w.shape[0]
         if w.shape != (n, n):
             raise ValueError(f"mixing matrix must be square, got {w.shape}")
+        if n == 0:
+            raise ValueError("mixing matrix must have at least one node")
         if not np.array_equal(w, w.T):
             raise ValueError("mixing matrix must be exactly symmetric")
         if np.abs(w.sum(axis=1) - 1.0).max() > 1e-12:

@@ -27,6 +27,7 @@ from gossipskip import (
     fixed_point_residual,
     gen_least_squares,
     gen_logistic,
+    l1_prox,
     lyapunov,
     metropolis_weights,
     mg_skip_run,
@@ -132,6 +133,29 @@ class TestStep:
     def test_config_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
             RunConfig(alpha=0.1, p=1.0, T=0)
+
+
+NAN = float("nan")
+# each entry point's positivity or range check, given NaN where it reads a number;
+# ``x <= 0`` is False for NaN, so each check is written to be False for it instead
+NAN_ENTRY_POINTS = {
+    "RunConfig-alpha": lambda b: RunConfig(alpha=NAN, p=1.0, T=10),
+    "RunConfig-tol": lambda b: RunConfig(alpha=b.alpha, p=1.0, T=10, tol=NAN),
+    "check_stepsize": lambda b: algorithms.check_stepsize(NAN, b.problem),
+    "l1_prox-alpha": lambda b: l1_prox(NAN, 1.0, np.ones(3)),
+    "l1_prox-weight": lambda b: l1_prox(1.0, NAN, np.ones(3)),
+    "fixed_point_residual": lambda b: fixed_point_residual(b.reference, b.problem, b.gossip, NAN),
+    "centralized_solve-tol": lambda b: centralized_solve(b.problem, tol=NAN),
+    "puda_run-tol": lambda b: puda_run(
+        b.problem, puda_nids(one_round(b.mixing)), b.alpha, 10, b.reference, tol=NAN
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NAN_ENTRY_POINTS.values(), ids=NAN_ENTRY_POINTS)
+def test_nan_is_refused(bench, call):
+    with pytest.raises(ValueError, match="nan"):
+        call(bench)
 
 
 def textbook_step(state, problem, gossip, cfg, theta):

@@ -88,45 +88,109 @@ def test_module_help_exit_0():
     assert "{run,verify,topology,sweep}" in done.stdout
 
 
+def _graph_config(graph: str) -> str:
+    """COMPLETE_GRAPH_CONFIG with its graph lines replaced by ``graph``."""
+    return COMPLETE_GRAPH_CONFIG.replace(
+        "graph.kind = random\ngraph.n = 5\ngraph.iota = 1.0\ngraph.seed = 0", graph
+    )
+
+
+def _assert_one_config_error(capsys, message: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestTopology:
     def test_ring15_reports_constants(self, capsys):
-        assert main(["topology", "--kind", "ring", "--n", "15"]) == 0
-        out = capsys.readouterr().out
-        values = dict(
-            line.split(" = ") for line in out.strip().splitlines() if " = " in line
+        assert main(["topology", "--config", str(RING15_CONFIG)]) == 0
+        assert capsys.readouterr().out == (
+            "n = 15\nedges = 15\nrho = 0.942364\nK = 4\neta = 0.498587\n"
         )
-        assert float(values["rho"]) == pytest.approx(0.9424, abs=1e-3)
-        assert int(values["K"]) == 4
-        assert float(values["eta"]) == pytest.approx(0.4986, abs=1e-3)
-
-    def test_random_kind(self, capsys):
-        assert main(
-            ["topology", "--kind", "random", "--n", "10", "--iota", "0.5"]
-        ) == 0
-        assert "edges = 22" in capsys.readouterr().out
-
-    def test_bad_kind_rejected_by_argparse(self):
-        with pytest.raises(SystemExit) as err:
-            main(["topology", "--kind", "torus", "--n", "4"])
-        assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "graph, out",
         [
-            (["--kind", "ring", "--n", "2"], "ring needs n >= 3 nodes, got 2"),
-            (
-                ["--kind", "random", "--n", "10", "--iota", "0"],
-                "connectivity ratio must be in (0, 1], got 0.0",
-            ),
-            (["--kind", "random", "--n", "0"], "node count must be >= 1, got 0"),
+            ("graph.kind = ring\ngraph.n = 400",
+             "n = 400\nedges = 400\nrho = 0.999918\nK = 110\neta = 0.974675\n"),
+            ("graph.kind = random\ngraph.n = 20\ngraph.iota = 0.2\ngraph.seed = 0",
+             "n = 20\nedges = 38\nrho = 0.913883\nK = 3\neta = 0.422498\n"),
         ],
-        ids=["ring-n2", "random-iota0", "random-n0"],
+        ids=["ring400-gossip", "logistic-random"],
     )
-    def test_out_of_range_exit_2(self, capsys, argv, message):
-        assert main(["topology", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
+    def test_benchmark_graph(self, tmp_path, capsys, graph, out):
+        """The graphs of the benchmark's other two workloads."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(_graph_config(graph))
+        assert main(["topology", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_random_kind(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(_graph_config("graph.kind = random\ngraph.n = 10\ngraph.iota = 0.5"))
+        assert main(["topology", "--config", str(config)]) == 0
+        assert "edges = 22" in capsys.readouterr().out
+
+    def test_builds_no_problem_or_reference(self, monkeypatch):
+        def built(*args, **kwargs):
+            pytest.fail("topology built a problem or a reference")
+
+        monkeypatch.setattr(harness, "build_problem", built)
+        monkeypatch.setattr(harness, "centralized_solve", built)
+        assert main(["topology", "--config", str(RING15_CONFIG)]) == 0
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("graph.kind = ring\ngraph.n = 2", "graph.n: expected an integer >= 3, got '2'"),
+            ("graph.kind = random\ngraph.iota = 0", "graph.iota: expected a number in (0, 1], got '0'"),
+            ("graph.kind = random\ngraph.n = 0", "graph.n: expected an integer >= 1, got '0'"),
+            ("graph.kind = ring\ngraph.iota = 0.3", "'graph.iota' does not apply to kind 'ring'"),
+            ("graph.kind = random\ngraph.seed = -1", "graph.seed: expected an integer >= 0, got '-1'"),
+            ("graph.kind = torus", "unknown graph kind 'torus'"),
+            ("graph.kind = random\ngraph.iota = 0.05", "5 edges cannot connect 15 nodes"),
+        ],
+        ids=[
+            "ring-n2", "random-iota0", "random-n0", "iota-on-ring", "negative-seed", "kind-torus",
+            "iota-too-small",
+        ],
+    )
+    def test_out_of_range_exit_2(self, tmp_path, capsys, graph, message):
+        """A graph the config's keys do not describe, alone or together, is one config error."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(_graph_config(graph))
+        assert main(["topology", "--config", str(config)]) == 2
+        _assert_one_config_error(capsys, message)
+
+
+# each subcommand's arguments besides --config; OUT stands for an output directory
+COMMANDS = [
+    ["run", "--out", "OUT"],
+    ["verify", "--steps", "3"],
+    ["topology"],
+    ["sweep", "--out", "OUT", "--p", "1"],
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.mkdir(), "cannot read config {path}: Is a directory"),
+        (lambda path: path.write_bytes(b"graph.n = 15\n\xff\n"), "config {path} is not UTF-8: "),
+        (lambda path: None, "cannot read config {path}: No such file or directory"),
+    ],
+    ids=["directory", "non-utf8", "missing"],
+)
+def test_unreadable_config_exit_2(tmp_path, capsys, command, make, message):
+    """A config that cannot be read as UTF-8 text is one config error naming it."""
+    config, out = tmp_path / "exp.cfg", tmp_path / "out"
+    make(config)
+    rest = [str(out) if arg == "OUT" else arg for arg in command[1:]]
+    assert main([command[0], "--config", str(config), *rest]) == 2
+    _assert_one_config_error(capsys, message.format(path=config))
+    assert not out.exists()
 
 
 class TestVerify:
@@ -162,7 +226,7 @@ class TestVerify:
         config.write_text(COMPLETE_GRAPH_CONFIG)
         assert main(["verify", "--config", str(config), "--steps", "-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --steps must be >= 0, got -1\n"
+        assert captured.err == "config error: --steps must be >= 0, got -1\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("steps", ["0", "5", "40"])
@@ -335,6 +399,14 @@ class TestVerify:
 class TestRun:
     def test_missing_config_exit_2(self):
         assert main(["run", "--config", "nope.cfg", "--out", "/tmp/x"]) == 2
+
+    def test_output_error_propagates(self, tmp_path):
+        """An OSError writing a run's outputs is no input error: it propagates."""
+        config, out = tmp_path / "exp.cfg", tmp_path / "out"
+        config.write_text(COMPLETE_GRAPH_CONFIG.replace("run.T = 400", "run.T = 20"))
+        out.write_text("")
+        with pytest.raises(FileExistsError):
+            main(["run", "--config", str(config), "--out", str(out)])
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

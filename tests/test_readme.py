@@ -35,6 +35,15 @@ def test_sweep_block_is_the_sweep_stdout(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_topology_comment_is_the_topology_stdout(capsys):
+    """The comment under the README's ``gossipskip topology`` command is its five
+    output lines, joined by commas."""
+    cli = README.split("## CLI", 1)[1]
+    found = re.search(r"gossipskip topology --config (\S+).*\n# (.*)\n", cli)
+    assert main(["topology", "--config", str(ROOT / found.group(1))]) == 0
+    assert capsys.readouterr().out.splitlines() == found.group(2).split(", ")
+
+
 def test_cited_names_exist():
     names = set(re.findall(r"\bgs\.(\w+)", README))
     assert names, "README cites no gs.<name>"

@@ -75,6 +75,47 @@ def test_cli_builds_nothing_itself():
     assert banned.intersection(_names(_tree("cli"))) == set()
 
 
+def _subcommand_options(tree: ast.Module) -> dict[str, dict[str, bool]]:
+    """Per subcommand of ``tree``'s parser, each option it adds and whether it is required."""
+    parsers = {}  # variable -> subcommand name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "add_parser"
+        ):
+            parsers[node.targets[0].id] = node.value.args[0].value
+    options = {name: {} for name in parsers.values()}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in parsers
+        ):
+            required = any(
+                kw.arg == "required" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in node.keywords
+            )
+            options[parsers[node.func.value.id]][node.args[0].value] = required
+    return options
+
+
+def test_cli_has_one_way_in_and_one_way_out():
+    """Every subcommand reads its input from a required ``--config``, and
+    ``topology`` takes nothing else; the CLI writes to stderr in one place,
+    its one ``config error:`` handler."""
+    tree = _tree("cli")
+    options = _subcommand_options(tree)
+    assert set(options) == {"run", "verify", "topology", "sweep"}
+    assert {name: opts.get("--config") for name, opts in options.items()} == dict.fromkeys(options, True)
+    assert options["topology"] == {"--config": True}
+    stderr = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "stderr"]
+    assert len(stderr) == 1
+
+
 def test_package_api_is_the_modules_all():
     """``gossipskip`` publishes exactly its modules' ``__all__``, and each
     module defines every name in its own list."""

@@ -180,6 +180,10 @@ class TestMixingValidation:
         with pytest.raises(ValueError, match="must be square"):
             MixingMatrix.from_matrix(np.full((2, 3), 1.0 / 3.0))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            MixingMatrix.from_matrix(np.zeros((0, 0)))
+
     def test_weights_are_immutable(self, ring15_mixing):
         with pytest.raises(ValueError):
             ring15_mixing.w[0, 0] = 2.0
